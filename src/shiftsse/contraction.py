@@ -19,9 +19,10 @@ by every rewrite accumulate in the prefactor, so
 
     prefactor * product(contracted terms) == product(original terms)
 
-holds exactly as an operator identity. Contraction is an evaluation
-optimization only; sampled configurations always keep their uncontracted
-strings.
+holds exactly as an operator identity. These are the paper's exact
+identities, checked by the acceptance suite and `contract-check`; the
+sampler does not contract (it evaluates weights from propagated states),
+and sampled configurations always keep their uncontracted strings.
 """
 
 from __future__ import annotations

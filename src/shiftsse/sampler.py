@@ -26,10 +26,21 @@ W supplies the remaining length dependence. Detailed balance with
 respect to |W| holds exactly and is enforced by an enumerated
 transition-matrix test.
 
-Weight evaluation is a full recomputation per proposal: contract the
-string, apply the surviving terms to the prepared basis vector, project.
-The sampled configuration always keeps its uncontracted string; the
-expansion order n refers to the physical string length.
+Weights are evaluated from propagated states, the standard SSE
+technique (Sandvik, PRB 59, R14157 (1999)). A configuration caches the
+left states L_k = H_k ... H_1 |alpha> and the right states
+R_k = H_{k+1} ... H_n |alpha>; every bond factor is real symmetric, so
+<alpha| H_n ... H_{k+1} = R_k^dagger and W is proportional to
+Re <R_k|L_k> at any split k. A replacement at position p then costs one
+bond application and one inner product, <R_{p+1}|H'|L_p>, an insertion
+at slot s likewise <R_s|H_t|L_s>, and a removal at p only <R_{p+1}|L_p>.
+Both lists are extended lazily; an accepted move drops only the states
+it invalidates. A label flip propagates a fresh cache for the proposed
+label and adopts it when accepted. The cache is keyed on the identity of
+the configuration's alpha and string objects and of the model and
+basis, so a configuration built or reassigned from outside is
+re-propagated, never read stale. `weight_of` is the from-scratch
+reference evaluation.
 
 String lengths are unbounded; there is no truncation anywhere.
 """
@@ -37,23 +48,24 @@ String lengths are unbounded; there is no truncation anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .contraction import contract
 from .estimators import RunAccumulators
 from .model import ModelSpec, active_terms
-from .statevec import BasisChoice, BasisLabel, string_matrix_element
+from .statevec import BasisChoice, BasisLabel, bond_kernel, prepare, string_matrix_element
 
 __all__ = [
     "Configuration",
+    "PropagatedStates",
     "SweepPlan",
     "SweepSample",
     "rng_stream",
     "weight",
     "weight_of",
+    "propagated_states",
     "update_alpha",
     "update_string_fixed_n",
     "update_insert_remove",
@@ -74,11 +86,17 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class Configuration:
-    """Chain state: basis label, operator string, and cached signed weight."""
+    """Chain state: basis label, operator string, and cached signed weight.
+
+    The updates also keep the configuration's propagated states here
+    (see `propagated_states`); they are not part of its value.
+    """
 
     alpha: BasisLabel
     string: list
     weight_value: float
+    states: PropagatedStates | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -145,18 +163,126 @@ def _poisson_factor(beta: float, n: int) -> float:
 
 def weight_of(alpha: BasisLabel, string: list, model: ModelSpec,
               basis: BasisChoice) -> float:
-    """Signed weight of an arbitrary (alpha, string) pair."""
+    """Signed weight of an arbitrary (alpha, string) pair, from scratch."""
     n = len(string)
     if n == 0:
         return 1.0
-    reduced = contract(string, model.n_sites)
-    me = string_matrix_element(alpha, basis, reduced.terms)
-    return _poisson_factor(model.beta, n) * reduced.prefactor * me.real
+    me = string_matrix_element(alpha, basis, string)
+    return _poisson_factor(model.beta, n) * me.real
 
 
 def weight(config: Configuration, model: ModelSpec, basis: BasisChoice) -> float:
     """Signed weight of a configuration (full evaluation, no caching)."""
     return weight_of(config.alpha, config.string, model, basis)
+
+
+class PropagatedStates:
+    """Left and right propagated states of one (alpha, string) pair.
+
+    left[k] = L_k = H_k ... H_1 |alpha> and right[j] = R_{n-j} =
+    H_{n-j+1} ... H_n |alpha>, each a valid prefix extended on demand.
+    Counting right states from the end of the string keeps them valid
+    when a move changes the length in front of them. `kernels` holds the
+    bond kernel of each string operator, so propagation looks none up.
+
+    The proposal methods return the signed weight of the proposed
+    configuration and remember the move as a splice of the string;
+    `accept` applies the last one. The string is never mutated in place:
+    an accepted move builds a new list.
+    """
+
+    __slots__ = ("alpha", "string", "model", "basis", "kernels", "left", "right", "_move")
+
+    def __init__(self, alpha: BasisLabel, string: list, model: ModelSpec,
+                 basis: BasisChoice, kernels: list | None = None):
+        self.alpha = alpha
+        self.string = string
+        self.model = model
+        self.basis = basis
+        if kernels is None:
+            kernels = [bond_kernel(term, model.n_sites) for term in string]
+        self.kernels = kernels
+        start = prepare(alpha, basis).amps
+        self.left = [start]
+        self.right = [start]
+        self._move = None
+
+    def keyed_on(self, config: Configuration, model: ModelSpec,
+                 basis: BasisChoice) -> bool:
+        return (self.alpha is config.alpha and self.string is config.string
+                and self.model is model and self.basis is basis)
+
+    def relabeled(self, alpha: BasisLabel) -> "PropagatedStates":
+        """A fresh cache for the same string under another label."""
+        return PropagatedStates(alpha, self.string, self.model, self.basis, self.kernels)
+
+    def _left(self, k: int) -> np.ndarray:
+        left, kernels = self.left, self.kernels
+        while len(left) <= k:
+            left.append(kernels[len(left) - 1](left[-1]))
+        return left[k]
+
+    def _right(self, k: int) -> np.ndarray:
+        """R_k = H_{k+1} ... H_n |alpha>."""
+        right, kernels = self.right, self.kernels
+        n = len(kernels)
+        while len(right) <= n - k:
+            right.append(kernels[n - len(right)](right[-1]))
+        return right[n - k]
+
+    def _weight(self, n: int, bra: np.ndarray, ket: np.ndarray) -> float:
+        return _poisson_factor(self.model.beta, n) * float(np.vdot(bra, ket).real)
+
+    def weight(self) -> float:
+        """W of the cached pair itself, <R_n|L_n> = <alpha|L_n>."""
+        n = len(self.string)
+        return self._weight(n, self._right(n), self._left(n))
+
+    def replace(self, pos: int, term) -> float:
+        """W with the operator at `pos` replaced: <R_{p+1}|H'|L_p>."""
+        kernel = bond_kernel(term, self.model.n_sites)
+        ket = kernel(self._left(pos))
+        self._move = (pos, 1, [term], [kernel], ket)
+        return self._weight(len(self.string), self._right(pos + 1), ket)
+
+    def insert(self, slot: int, term) -> float:
+        """W with `term` inserted before position `slot`: <R_s|H_t|L_s>."""
+        kernel = bond_kernel(term, self.model.n_sites)
+        ket = kernel(self._left(slot))
+        self._move = (slot, 0, [term], [kernel], ket)
+        return self._weight(len(self.string) + 1, self._right(slot), ket)
+
+    def remove(self, pos: int) -> float:
+        """W with the operator at `pos` removed: <R_{p+1}|L_p>."""
+        self._move = (pos, 1, [], [], None)
+        return self._weight(len(self.string) - 1, self._right(pos + 1), self._left(pos))
+
+    def accept(self) -> list:
+        """Apply the last proposed move and return the new string.
+
+        The move replaces the `cut` operators at `pos` by `terms`. Left
+        states up to `pos` and right states behind the cut stay valid, and
+        so does the proposal's left state past `pos`.
+        """
+        pos, cut, terms, kernels, ket = self._move
+        self._move = None
+        n = len(self.string)
+        del self.left[pos + 1:]
+        if ket is not None:
+            self.left.append(ket)
+        del self.right[n - pos - cut + 1:]
+        self.string = self.string[:pos] + terms + self.string[pos + cut:]
+        self.kernels = self.kernels[:pos] + kernels + self.kernels[pos + cut:]
+        return self.string
+
+
+def propagated_states(config: Configuration, model: ModelSpec,
+                      basis: BasisChoice) -> PropagatedStates:
+    """The configuration's cache, rebuilt if any object it is keyed on changed."""
+    states = config.states
+    if states is None or not states.keyed_on(config, model, basis):
+        states = config.states = PropagatedStates(config.alpha, config.string, model, basis)
+    return states
 
 
 def metropolis_acceptance(w_old: float, w_new: float) -> float:
@@ -193,10 +319,12 @@ def update_alpha(config: Configuration, model: ModelSpec, basis: BasisChoice,
         return config
     qubit = int(rng.integers(model.n_sites))
     proposal = config.alpha.flip(qubit)
-    w_new = weight_of(proposal, config.string, model, basis)
+    fresh = propagated_states(config, model, basis).relabeled(proposal)
+    w_new = fresh.weight()
     if rng.random() < metropolis_acceptance(config.weight_value, w_new):
         config.alpha = proposal
         config.weight_value = w_new
+        config.states = fresh
     return config
 
 
@@ -215,11 +343,10 @@ def update_string_fixed_n(config: Configuration, model: ModelSpec,
     candidate = terms[int(rng.integers(len(terms)))]
     if candidate == config.string[pos]:
         return config
-    proposal = list(config.string)
-    proposal[pos] = candidate
-    w_new = weight_of(config.alpha, proposal, model, basis)
+    states = propagated_states(config, model, basis)
+    w_new = states.replace(pos, candidate)
     if rng.random() < metropolis_acceptance(config.weight_value, w_new):
-        config.string = proposal
+        config.string = states.accept()
         config.weight_value = w_new
     return config
 
@@ -230,23 +357,21 @@ def update_insert_remove(config: Configuration, model: ModelSpec,
     terms = _active(model)
     n_active = len(terms)
     n = config.order
+    states = propagated_states(config, model, basis)
     if rng.random() < 0.5:
         slot = int(rng.integers(n + 1))
         term = terms[int(rng.integers(n_active))]
-        proposal = config.string[:slot] + [term] + config.string[slot:]
-        w_new = weight_of(config.alpha, proposal, model, basis)
-        if rng.random() < insert_acceptance(config.weight_value, w_new, n_active):
-            config.string = proposal
-            config.weight_value = w_new
+        w_new = states.insert(slot, term)
+        accept = insert_acceptance(config.weight_value, w_new, n_active)
     else:
         if n == 0:
             return config
         pos = int(rng.integers(n))
-        proposal = config.string[:pos] + config.string[pos + 1:]
-        w_new = weight_of(config.alpha, proposal, model, basis)
-        if rng.random() < remove_acceptance(config.weight_value, w_new, n_active):
-            config.string = proposal
-            config.weight_value = w_new
+        w_new = states.remove(pos)
+        accept = remove_acceptance(config.weight_value, w_new, n_active)
+    if rng.random() < accept:
+        config.string = states.accept()
+        config.weight_value = w_new
     return config
 
 

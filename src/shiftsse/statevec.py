@@ -6,6 +6,9 @@ string order, and projecting back onto |alpha>. Shifted terms
 coupling*(shift*I + sign*O) are not unitary and in general branch a basis
 state into a superposition; the dense vector tracks this exactly.
 
+Every bond-term application, here and in the sampler's propagated
+states, goes through one raw-array kernel per term (`bond_kernel`).
+
 Basis states are product states: plain Z eigenstates, or Z eigenstates
 rotated qubit-by-qubit through a single-qubit unitary (default T*H, a
 non-Clifford rotation). Index bit i is qubit i (little endian).
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,6 +34,7 @@ __all__ = [
     "default_rotation",
     "prepare",
     "apply_term",
+    "bond_kernel",
     "string_matrix_element",
 ]
 
@@ -142,9 +147,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
-
 
 @lru_cache(maxsize=None)
 def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:
@@ -164,29 +166,25 @@ def prepare(label: BasisLabel, basis: BasisChoice) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _zz_phases(site_i: int, site_j: int, n_qubits: int) -> np.ndarray:
+def bond_kernel(term: BondTerm, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Raw-array map psi -> coupling*(shift*psi + sign*O_b psi) for one term.
+
+    O_b is Z_i Z_{i+1} or X_i X_{i+1} (periodic). Built once per
+    (term, n_qubits): a ZZ term folds into one diagonal multiply, an XX
+    term into one gather and two scaled adds, so an application
+    allocates no StateVector and recomputes no constant.
+    """
+    if term.site >= n_qubits:
+        raise ValueError(f"term on site {term.site} does not fit {n_qubits} qubits")
+    i, j = term.site, (term.site + 1) % n_qubits
     idx = np.arange(2 ** n_qubits)
-    differ = ((idx >> site_i) ^ (idx >> site_j)) & 1
-    phases = 1.0 - 2.0 * differ
-    phases.setflags(write=False)
-    return phases
-
-
-@lru_cache(maxsize=None)
-def _xx_partner(site_i: int, site_j: int, n_qubits: int) -> np.ndarray:
-    idx = np.arange(2 ** n_qubits)
-    partner = idx ^ ((1 << site_i) | (1 << site_j))
-    partner.setflags(write=False)
-    return partner
-
-
-def _apply_bond_operator(amps: np.ndarray, site: int, flavor: PauliFlavor,
-                         n_qubits: int) -> np.ndarray:
-    """Bare O_b |psi> for O_b = Z_i Z_{i+1} or X_i X_{i+1} (periodic)."""
-    i, j = site, (site + 1) % n_qubits
-    if flavor is PauliFlavor.ZZ:
-        return amps * _zz_phases(i, j, n_qubits)
-    return amps[_xx_partner(i, j, n_qubits)]
+    if term.flavor is PauliFlavor.ZZ:
+        phases = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
+        diagonal = term.coupling * (term.shift + term.sign * phases)
+        return lambda amps: amps * diagonal
+    partner = idx ^ ((1 << i) | (1 << j))
+    identity, flip = term.coupling * term.shift, term.coupling * term.sign
+    return lambda amps: identity * amps + flip * amps[partner]
 
 
 def apply_term(state: StateVector, term: BondTerm) -> StateVector:
@@ -195,12 +193,7 @@ def apply_term(state: StateVector, term: BondTerm) -> StateVector:
     The result is generally unnormalized: shifted terms are positive
     affine combinations of I and a Pauli string, not unitaries.
     """
-    n = state.n_qubits
-    if term.site >= n:
-        raise ValueError(f"term on site {term.site} does not fit {n} qubits")
-    ob = _apply_bond_operator(state.amps, term.site, term.flavor, n)
-    out = term.coupling * (term.shift * state.amps + term.sign * ob)
-    return StateVector(n, out)
+    return StateVector(state.n_qubits, bond_kernel(term, state.n_qubits)(state.amps))
 
 
 def string_matrix_element(label: BasisLabel, basis: BasisChoice,
@@ -209,8 +202,9 @@ def string_matrix_element(label: BasisLabel, basis: BasisChoice,
 
     The empty string gives <alpha|alpha> = 1.
     """
-    start = prepare(label, basis)
+    n = label.n_qubits
+    start = prepare(label, basis).amps
     cur = start
     for term in string:
-        cur = apply_term(cur, term)
-    return complex(np.vdot(start.amps, cur.amps))
+        cur = bond_kernel(term, n)(cur)
+    return complex(np.vdot(start, cur))

@@ -208,5 +208,9 @@ class TestRandomChecks:
     def test_contraction_check_tight(self):
         assert random_contraction_check(150, seed=21) < 1e-10
 
+    def test_contraction_check_at_sampler_sizes(self):
+        # the sampler runs up to N = 7; the default check stops at N = 4
+        assert random_contraction_check(60, seed=23, max_sites=7) <= 1e-10
+
     def test_weight_equivalence_tight(self):
         assert random_weight_equivalence_check(60, seed=22) < 1e-10
