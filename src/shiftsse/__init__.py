@@ -2,7 +2,7 @@
 
 Samples the antiferromagnetic anisotropic XY chain through operator
 strings of shifted bond factors, tracks the configuration sign, and
-benchmarks against in-repo exact diagonalization and brute-force
+benchmarks against exact diagonalization and brute-force
 partition sums.
 """
 

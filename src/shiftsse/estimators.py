@@ -1,7 +1,7 @@
 """Sign-reweighted observable estimation with binned error analysis.
 
 Samples arrive as (sign, order) pairs, one per sweep. The accumulator
-keeps streaming totals plus fixed-count bin sums so that
+keeps fixed-count bin sums, whose totals are the run totals, so that
 
   <sgn>  : mean of signs, stderr from the spread of bin means
   <n>    : reweighted ratio sum(n*sgn)/sum(sgn), stderr by jackknife
@@ -60,7 +60,7 @@ class EnergyEstimate:
 
 
 class RunAccumulators:
-    """Streaming sums and bin buffers for sign and operator-string order."""
+    """Bin sums of sign, order and order*sign, filled in arrival order."""
 
     def __init__(self, n_bins: int = DEFAULT_BINS, expected_samples: int = 0):
         if n_bins < 2:
@@ -68,9 +68,6 @@ class RunAccumulators:
         self.n_bins = n_bins
         self.expected_samples = expected_samples
         self.count = 0
-        self.sum_sign = 0.0
-        self.sum_order = 0.0
-        self.sum_order_sign = 0.0
         self.bin_count = np.zeros(n_bins, dtype=np.int64)
         self.bin_sign = np.zeros(n_bins)
         self.bin_order = np.zeros(n_bins)
@@ -83,9 +80,6 @@ class RunAccumulators:
         total = max(self.expected_samples, 1)
         idx = min(self.n_bins - 1, self.count * self.n_bins // total)
         self.count += 1
-        self.sum_sign += sign
-        self.sum_order += order
-        self.sum_order_sign += order * sign
         self.bin_count[idx] += 1
         self.bin_sign[idx] += sign
         self.bin_order[idx] += order
@@ -96,9 +90,6 @@ class RunAccumulators:
             raise ValueError("cannot merge accumulators with different bin counts")
         self.expected_samples += other.expected_samples
         self.count += other.count
-        self.sum_sign += other.sum_sign
-        self.sum_order += other.sum_order
-        self.sum_order_sign += other.sum_order_sign
         self.bin_count += other.bin_count
         self.bin_sign += other.bin_sign
         self.bin_order += other.bin_order
@@ -125,7 +116,7 @@ def _require_filled_bins(acc: RunAccumulators) -> None:
 def average_sign(acc: RunAccumulators) -> Estimate:
     """Mean sign with the standard error of bin means."""
     _require_filled_bins(acc)
-    value = acc.sum_sign / acc.count
+    value = float(np.sum(acc.bin_sign)) / acc.count
     means = acc.bin_sign / acc.bin_count
     b = acc.n_bins
     stderr = float(np.sqrt(np.sum((means - np.mean(means)) ** 2) / (b * (b - 1))))

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ed
 from .contraction import contract
-from .estimators import average_sign, energy
+from .estimators import average_sign, energy, percent_error
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import (
@@ -89,7 +89,14 @@ CSV_FIELDS = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One simulation: model, basis, sweep protocol, seeding, parallelism."""
+    """One simulation: model, basis, sweep protocol, seeding, parallelism.
+
+    The sweep protocol that `run` and `campaign` execute is
+    `sweep_plan()`: N lazy label-flip attempts unless `plan_alpha` is
+    set, adaptive string replacements unless `plan_string` is set, and N
+    insert/remove attempts unless `plan_insert` is set. `SweepPlan.default`
+    and the benchmark use 2N label-flip attempts instead.
+    """
 
     n_sites: int = 3
     delta: float = 1.0
@@ -259,7 +266,7 @@ def run(config: RunConfig) -> ResultRecord:
     energy_est = energy(merged, spec)
     e_ref = ed.thermal_energy(spec)
     pct = (
-        abs(energy_est.stderr / e_ref) * 100.0
+        percent_error(energy_est.value, energy_est.stderr, e_ref)
         if e_ref != 0.0 and math.isfinite(energy_est.stderr)
         else float("nan")
     )
@@ -610,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc = sub.add_parser("contract-check", help="randomized contraction exactness")
     p_cc.add_argument("--count", type=int, default=1000)
     p_cc.add_argument("--seed", type=int, default=7)
-    p_cc.add_argument("--max-sites", type=int, default=4)
+    p_cc.add_argument("--max-sites", type=int, default=7)
     p_cc.add_argument("--max-len", type=int, default=8)
     p_cc.add_argument("--tolerance", type=float, default=1e-10)
     p_cc.set_defaults(func=_cmd_contract_check)

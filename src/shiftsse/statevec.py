@@ -144,9 +144,6 @@ class StateVector:
     n_qubits: int
     amps: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @lru_cache(maxsize=None)
 def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:

@@ -1,34 +1,12 @@
 import numpy as np
 import pytest
 
-from shiftsse.ed import spectrum, symmetric_eigensystem, thermal_energy
+from shiftsse.ed import spectrum, thermal_energy
 from shiftsse.model import ModelSpec, dense_hamiltonian
 
 
 def spec(n=3, delta=1.0, beta=0.5):
     return ModelSpec(n_sites=n, delta=delta, m_x=1.0, m_z=1.0, beta=beta)
-
-
-class TestEigensolver:
-    def test_residuals(self, rng):
-        for _ in range(5):
-            dim = int(rng.integers(2, 30))
-            m = rng.standard_normal((dim, dim))
-            m = (m + m.T) / 2
-            vals, vecs = symmetric_eigensystem(m)
-            for k in range(dim):
-                res = np.linalg.norm(m @ vecs[:, k] - vals[k] * vecs[:, k])
-                assert res <= 1e-10
-
-    def test_against_lapack(self, rng):
-        for n in (2, 3, 4, 5):
-            ham = dense_hamiltonian(spec(n=n))
-            vals, _ = symmetric_eigensystem(ham)
-            np.testing.assert_allclose(vals, np.linalg.eigvalsh(ham), atol=1e-10)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSpectrum:
@@ -45,11 +23,15 @@ class TestSpectrum:
             assert abs(np.sum(spectrum(sp).eigenvalues)) < 1e-10
 
     def test_hamiltonian_residual(self):
-        sp = spec(n=4, delta=0.7)
-        ham = dense_hamiltonian(sp)
-        vals, vecs = symmetric_eigensystem(ham)
-        for k in range(len(vals)):
-            assert np.linalg.norm(ham @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-10
+        # every returned value is an eigenvalue: H - lambda*I is singular
+        for n, delta in ((4, 0.7), (7, 1.0)):
+            sp = spec(n=n, delta=delta)
+            ham = dense_hamiltonian(sp)
+            vals = spectrum(sp).eigenvalues
+            assert len(vals) == 2 ** n
+            for lam in vals:
+                shifted = ham - lam * np.eye(2 ** n)
+                assert np.linalg.svd(shifted, compute_uv=False)[-1] <= 1e-10
 
     def test_site_limit(self):
         with pytest.raises(ValueError):

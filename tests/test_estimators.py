@@ -86,8 +86,8 @@ class TestMerge:
         a, b, c = random_acc(), random_acc(), random_acc()
 
         def key(acc):
-            return (acc.count, acc.sum_sign, acc.sum_order, acc.sum_order_sign,
-                    tuple(acc.bin_count), tuple(acc.bin_sign))
+            return (acc.count, tuple(acc.bin_count), tuple(acc.bin_sign),
+                    tuple(acc.bin_order), tuple(acc.bin_order_sign))
 
         assert key(merge(merge(a, b), c)) == key(merge(a, merge(b, c)))
         assert key(merge(a, b)) == key(merge(b, a))

@@ -16,6 +16,7 @@ from shiftsse.harness import (
     run,
     write_campaign_csv,
 )
+from shiftsse.sampler import SweepPlan
 
 FAST = dict(n_sites=2, temperature=2.0, sweeps=1200, chains=2, seed=5)
 
@@ -41,6 +42,9 @@ class TestRunConfig:
         schedule = cfg.chain_schedule()
         assert sum(total for total, _ in schedule) == 10001
         assert all(warmup < total for total, warmup in schedule)
+
+    def test_default_sweep_plan_is_n_label_flip_attempts(self):
+        assert RunConfig(n_sites=5).sweep_plan() == SweepPlan(5, None, 5)
 
     def test_rotate_sites_basis(self):
         cfg = RunConfig(n_sites=3, rotate_sites=(1,))
