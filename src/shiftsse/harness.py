@@ -14,7 +14,8 @@ an error row instead of aborting the campaign.
 
 CLI verbs: run, campaign, ed, contract-check, oracle-check. Options may
 come from a UTF-8 key=value config file, with command-line flags taking
-precedence.
+precedence. The config keys, flags, JSON record and CSV header all derive
+from RUN_OPTIONS and the RunConfig and ResultRecord dataclasses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import ed
 from .contraction import contract
-from .estimators import average_sign, energy, percent_error
+from .estimators import DEFAULT_BINS, average_sign, energy, percent_error
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import (
@@ -58,33 +59,45 @@ __all__ = [
     "main",
 ]
 
-AXES = ("m_joint", "m_x_only", "size", "temperature", "anisotropy")
 
-CSV_FIELDS = [
-    "axis",
-    "axis_value",
-    "n_sites",
-    "delta",
-    "m_x",
-    "m_z",
-    "temperature",
-    "sweeps",
-    "warmup_fraction",
-    "chains",
-    "seed",
-    "basis",
-    "avg_sign",
-    "avg_sign_err",
-    "energy",
-    "energy_err",
-    "avg_order",
-    "avg_order_err",
-    "energy_ed",
-    "abs_energy_diff",
-    "pct_stderr_vs_ed",
-    "reliable",
-    "error",
-]
+def site_list(text: str) -> tuple[int, ...] | None:
+    """Comma-separated site indices; empty text leaves every site rotated."""
+    return tuple(int(v) for v in text.split(",")) if text else None
+
+
+# RunConfig field (also its config-file key) -> (CLI flags, parser of the
+# config-file or flag text, role). "model" fields are the options of the
+# `ed` verb too; "model" and "record" fields are the leading columns of the
+# run record and the campaign CSV, in this order (rotate_sites is reported
+# through the basis label).
+RUN_OPTIONS = {
+    "n_sites": (("--sites",), int, "model"),
+    "delta": (("--delta",), float, "model"),
+    "m_x": (("--mx",), float, "model"),
+    "m_z": (("--mz",), float, "model"),
+    "temperature": (("--temperature", "-T"), float, "model"),
+    "sweeps": (("--sweeps",), int, "record"),
+    "warmup_fraction": (("--warmup-fraction",), float, "record"),
+    "chains": (("--chains",), int, "record"),
+    "seed": (("--seed",), int, "record"),
+    "basis": (("--basis",), str, "record"),
+    "rotate_sites": (("--rotate-sites",), site_list, None),
+    "plan_alpha": (("--plan-alpha",), int, None),
+    "plan_string": (("--plan-string",), int, None),
+    "plan_insert": (("--plan-insert",), int, None),
+    "workers": (("--workers",), int, None),
+    "n_bins": (("--bins",), int, None),
+}
+REPORTED_CONFIG = tuple(name for name, (_, _, role) in RUN_OPTIONS.items() if role)
+
+# campaign axis -> the RunConfig fields one grid value sets
+AXES = {
+    "m_joint": ("m_x", "m_z"),
+    "m_x_only": ("m_x",),
+    "size": ("n_sites",),
+    "temperature": ("temperature",),
+    "anisotropy": ("delta",),
+}
 
 
 @dataclass(frozen=True)
@@ -113,7 +126,7 @@ class RunConfig:
     plan_string: int | None = None
     plan_insert: int | None = None
     workers: int = 1
-    n_bins: int = 20
+    n_bins: int = DEFAULT_BINS
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -130,6 +143,12 @@ class RunConfig:
             raise ValueError("fewer sweeps than chains")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.rotate_sites is not None:
+            if self.basis != "rotated":
+                raise ValueError("rotate_sites needs basis 'rotated'")
+            for site in self.rotate_sites:
+                if not 0 <= site < self.n_sites:
+                    raise ValueError(f"rotate_sites entry {site} outside chain")
 
     @property
     def beta(self) -> float:
@@ -151,8 +170,6 @@ class RunConfig:
             return BasisChoice.rotated()
         rotations = [np.eye(2, dtype=complex) for _ in range(self.n_sites)]
         for site in self.rotate_sites:
-            if not 0 <= site < self.n_sites:
-                raise ValueError(f"rotate_sites entry {site} outside chain")
             rotations[site] = default_rotation()
         return BasisChoice.rotated(rotations)
 
@@ -194,39 +211,16 @@ class ResultRecord:
     reliable: bool
 
     def as_dict(self) -> dict:
-        out = {
-            "n_sites": self.config.n_sites,
-            "delta": self.config.delta,
-            "m_x": self.config.m_x,
-            "m_z": self.config.m_z,
-            "temperature": self.config.temperature,
-            "sweeps": self.config.sweeps,
-            "warmup_fraction": self.config.warmup_fraction,
-            "chains": self.config.chains,
-            "seed": self.config.seed,
-            "basis": _basis_label(self.config),
-        }
-        out.update(
-            avg_sign=self.avg_sign,
-            avg_sign_err=self.avg_sign_err,
-            energy=self.energy,
-            energy_err=self.energy_err,
-            avg_order=self.avg_order,
-            avg_order_err=self.avg_order_err,
-            energy_ed=self.energy_ed,
-            abs_energy_diff=self.abs_energy_diff,
-            pct_stderr_vs_ed=self.pct_stderr_vs_ed,
-            reliable=self.reliable,
-        )
+        """Reported config fields, then the results; "rotated:0,2" names rotated sites."""
+        out = {name: getattr(self.config, name) for name in REPORTED_CONFIG}
+        if self.config.rotate_sites is not None:
+            out["basis"] += ":" + ",".join(str(s) for s in self.config.rotate_sites)
+        out.update((name, getattr(self, name)) for name in RESULT_FIELDS)
         return out
 
 
-def _basis_label(config: RunConfig) -> str:
-    if config.basis == "z":
-        return "z"
-    if config.rotate_sites is None:
-        return "rotated"
-    return "rotated:" + ",".join(str(s) for s in config.rotate_sites)
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRecord) if f.name != "config")
+CSV_FIELDS = ["axis", "axis_value", *REPORTED_CONFIG, *RESULT_FIELDS, "error"]
 
 
 def _chain_worker(job: tuple[RunConfig, int]):
@@ -243,15 +237,19 @@ def _chain_worker(job: tuple[RunConfig, int]):
 
 
 def run(config: RunConfig) -> ResultRecord:
-    """Execute all chains of a config and merge their estimates."""
+    """Execute all chains of a config and merge their estimates.
+
+    The ED reference is computed before sampling, so a point beyond the
+    dense site limit fails at once.
+    """
     spec = config.model_spec()
-    config.basis_choice()
     for total, warmup in config.chain_schedule():
         if total - warmup < config.n_bins:
             raise ValueError(
                 f"each chain must keep at least {config.n_bins} samples; "
                 f"got {total - warmup} (sweeps={config.sweeps}, chains={config.chains})"
             )
+    e_ref = ed.thermal_energy(spec)
     jobs = [(config, k) for k in range(config.chains)]
     if config.workers > 1 and config.chains > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -264,7 +262,6 @@ def run(config: RunConfig) -> ResultRecord:
 
     sign_est = average_sign(merged)
     energy_est = energy(merged, spec)
-    e_ref = ed.thermal_energy(spec)
     pct = (
         percent_error(energy_est.value, energy_est.stderr, e_ref)
         if e_ref != 0.0 and math.isfinite(energy_est.stderr)
@@ -295,7 +292,7 @@ class CampaignSpec:
 
     def __post_init__(self):
         if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if len(self.grid) == 0:
             raise ValueError("grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -303,19 +300,13 @@ class CampaignSpec:
 
 
 def apply_axis(base: RunConfig, axis: str, value: float) -> RunConfig:
-    if axis == "m_joint":
-        return dataclasses.replace(base, m_x=value, m_z=value)
-    if axis == "m_x_only":
-        return dataclasses.replace(base, m_x=value)
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}")
     if axis == "size":
         if value != int(value):
             raise ValueError(f"size grid values must be integers, got {value}")
-        return dataclasses.replace(base, n_sites=int(value))
-    if axis == "temperature":
-        return dataclasses.replace(base, temperature=value)
-    if axis == "anisotropy":
-        return dataclasses.replace(base, delta=value)
-    raise ValueError(f"unknown axis {axis!r}")
+        value = int(value)
+    return dataclasses.replace(base, **dict.fromkeys(AXES[axis], value))
 
 
 def campaign(spec: CampaignSpec) -> list[dict]:
@@ -463,13 +454,6 @@ def random_weight_equivalence_check(count: int, seed: int,
 # ---------------------------------------------------------------------------
 # CLI
 
-_INT_KEYS = {"n_sites", "sweeps", "chains", "seed", "plan_alpha", "plan_string",
-             "plan_insert", "workers", "n_bins"}
-_FLOAT_KEYS = {"delta", "m_x", "m_z", "temperature", "warmup_fraction"}
-_STR_KEYS = {"basis"}
-_TUPLE_KEYS = {"rotate_sites"}
-
-
 def parse_config_file(path: Path) -> dict:
     """UTF-8 key=value file; '#' starts a comment; keys match RunConfig fields."""
     values: dict = {}
@@ -480,54 +464,27 @@ def parse_config_file(path: Path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _STR_KEYS:
-            values[key] = value
-        elif key in _TUPLE_KEYS:
-            values[key] = tuple(int(v) for v in value.split(",")) if value else None
-        else:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in RUN_OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = RUN_OPTIONS[key][1](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--sites", dest="n_sites", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mx", dest="m_x", type=float)
-    p.add_argument("--mz", dest="m_z", type=float)
-    p.add_argument("--temperature", "-T", type=float)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--warmup-fraction", dest="warmup_fraction", type=float)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--basis", choices=("z", "rotated"))
-    p.add_argument("--rotate-sites", dest="rotate_sites",
-                   help="comma-separated sites that get the rotation (rotated basis)")
-    p.add_argument("--plan-alpha", dest="plan_alpha", type=int)
-    p.add_argument("--plan-string", dest="plan_string", type=int)
-    p.add_argument("--plan-insert", dest="plan_insert", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--bins", dest="n_bins", type=int)
+    for name, (flags, parse, _) in RUN_OPTIONS.items():
+        p.add_argument(*flags, dest=name, type=parse)
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key in (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS):
-        cli = getattr(args, key, None)
-        if cli is not None:
-            values[key] = cli
-    raw_sites = getattr(args, "rotate_sites", None)
-    if raw_sites is not None:
-        values["rotate_sites"] = tuple(int(v) for v in raw_sites.split(","))
+    values = parse_config_file(args.config) if args.config else {}
+    for name in RUN_OPTIONS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     return RunConfig(**values)
 
 
@@ -552,13 +509,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_ed(args: argparse.Namespace) -> int:
-    spec = ModelSpec(
-        n_sites=args.n_sites,
-        delta=args.delta,
-        m_x=args.m_x,
-        m_z=args.m_z,
-        beta=1.0 / args.temperature,
-    )
+    options = {k: v for k, v in vars(args).items() if k in RUN_OPTIONS}
+    spec = RunConfig(**options).model_spec()
     value = ed.thermal_energy(spec)
     print(f"thermal_energy={value!r}")
     print(f"energy_offset={spec.energy_offset!r}")
@@ -606,11 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_ed = sub.add_parser("ed", help="exact-diagonalization reference")
-    p_ed.add_argument("--sites", dest="n_sites", type=int, required=True)
-    p_ed.add_argument("--delta", type=float, default=1.0)
-    p_ed.add_argument("--mx", dest="m_x", type=float, default=1.0)
-    p_ed.add_argument("--mz", dest="m_z", type=float, default=1.0)
-    p_ed.add_argument("--temperature", "-T", type=float, default=2.0)
+    for name, (flags, parse, role) in RUN_OPTIONS.items():
+        if role == "model":
+            p_ed.add_argument(*flags, dest=name, type=parse, required=name == "n_sites",
+                              default=getattr(RunConfig, name))
     p_ed.add_argument("--spectrum", action="store_true", help="print all eigenvalues")
     p_ed.set_defaults(func=_cmd_ed)
 

@@ -136,25 +136,23 @@ def active_terms(spec: ModelSpec) -> list[BondTerm]:
     return [t for t in build_terms(spec) if t.coupling > 0.0]
 
 
-def _pauli_site_matrix(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Dense matrix of a single-site operator under the little-endian layout."""
-    mat = np.array([[1.0]], dtype=np.float64)
-    for q in range(n_sites):
-        factor = op if q == site else np.eye(2)
-        # qubit q varies fastest; kron puts the later factor on the slow axis
-        mat = np.kron(factor, mat)
-    return mat
-
-
 _Z = np.diag([1.0, -1.0])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def bond_operator_matrix(site: int, flavor: PauliFlavor, n_sites: int) -> np.ndarray:
-    """Dense matrix of the bare two-site operator O_b (no coupling, no shift)."""
-    i, j = site, (site + 1) % n_sites
+    """Dense matrix of the bare two-site operator O_b (no coupling, no shift).
+
+    One Kronecker chain with the Pauli on both bond sites (at N = 2 both
+    bonds join the same pair, and O_b is still P x P).
+    """
     op = _Z if flavor is PauliFlavor.ZZ else _X
-    return _pauli_site_matrix(op, i, n_sites) @ _pauli_site_matrix(op, j, n_sites)
+    bond = {site, (site + 1) % n_sites}
+    mat = np.ones((1, 1))
+    for q in range(n_sites):
+        # qubit q varies fastest; kron puts the later factor on the slow axis
+        mat = np.kron(op if q in bond else np.eye(2), mat)
+    return mat
 
 
 def term_matrix(term: BondTerm, n_sites: int) -> np.ndarray:

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimators import RunAccumulators
+from .estimators import DEFAULT_BINS, RunAccumulators
 from .model import ModelSpec, active_terms
 from .statevec import BasisChoice, BasisLabel, bond_kernel, prepare, string_matrix_element
 
@@ -390,7 +390,7 @@ def sweep(config: Configuration, plan: SweepPlan, model: ModelSpec,
 
 def run_chain(model: ModelSpec, basis: BasisChoice, plan: SweepPlan,
               rng: np.random.Generator, sweeps: int, warmup_sweeps: int,
-              n_bins: int = 20) -> tuple[RunAccumulators, Configuration]:
+              n_bins: int = DEFAULT_BINS) -> tuple[RunAccumulators, Configuration]:
     """Drive one chain for `sweeps` sweeps, accumulating after warmup.
 
     Each chain owns its configuration and accumulator; independent

@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from shiftsse import ed
 from shiftsse.harness import (
-    CSV_FIELDS,
+    RUN_OPTIONS,
     CampaignSpec,
     RunConfig,
+    _build_run_config,
     apply_axis,
+    build_parser,
     campaign,
     main,
     parse_config_file,
@@ -19,6 +24,34 @@ from shiftsse.harness import (
 from shiftsse.sampler import SweepPlan
 
 FAST = dict(n_sites=2, temperature=2.0, sweeps=1200, chains=2, seed=5)
+
+# The campaign CSV header, as documented in the README "CSV schema" section.
+CSV_HEADER = [
+    "axis", "axis_value", "n_sites", "delta", "m_x", "m_z", "temperature",
+    "sweeps", "warmup_fraction", "chains", "seed", "basis", "avg_sign",
+    "avg_sign_err", "energy", "energy_err", "avg_order", "avg_order_err",
+    "energy_ed", "abs_energy_diff", "pct_stderr_vs_ed", "reliable", "error",
+]
+
+# One non-default value per RunConfig field: its config-file line and its flag.
+FIELD_SAMPLES = {
+    "n_sites": ("n_sites = 4", ["--sites", "4"]),
+    "delta": ("delta = 0.5", ["--delta", "0.5"]),
+    "m_x": ("m_x = 0.75", ["--mx", "0.75"]),
+    "m_z": ("m_z = 1.25", ["--mz", "1.25"]),
+    "temperature": ("temperature = 1.5", ["--temperature", "1.5"]),
+    "sweeps": ("sweeps = 3000", ["--sweeps", "3000"]),
+    "warmup_fraction": ("warmup_fraction = 0.2", ["--warmup-fraction", "0.2"]),
+    "chains": ("chains = 3", ["--chains", "3"]),
+    "seed": ("seed = 12", ["--seed", "12"]),
+    "basis": ("basis = z", ["--basis", "z"]),
+    "rotate_sites": ("rotate_sites = 0,2", ["--rotate-sites", "0,2"]),
+    "plan_alpha": ("plan_alpha = 6", ["--plan-alpha", "6"]),
+    "plan_string": ("plan_string = 2", ["--plan-string", "2"]),
+    "plan_insert": ("plan_insert = 5", ["--plan-insert", "5"]),
+    "workers": ("workers = 2", ["--workers", "2"]),
+    "n_bins": ("n_bins = 10", ["--bins", "10"]),
+}
 
 
 class TestRunConfig:
@@ -54,6 +87,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(n_sites=2, rotate_sites=(5,)).basis_choice()
 
+    def test_rotate_sites_validation(self):
+        with pytest.raises(ValueError, match="basis 'rotated'"):
+            RunConfig(n_sites=3, basis="z", rotate_sites=(0,))
+        for sites in ((3,), (-1,), (0, 3)):
+            with pytest.raises(ValueError, match="outside chain"):
+                RunConfig(n_sites=3, rotate_sites=sites)
+
 
 class TestRun:
     def test_deterministic_records(self):
@@ -78,6 +118,25 @@ class TestRun:
     def test_insufficient_samples_per_bin(self):
         with pytest.raises(ValueError):
             run(RunConfig(n_sites=2, sweeps=30, chains=2, seed=1))
+
+    def test_dense_limit_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a point that has no ED reference")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_sampling)
+        with pytest.raises(ValueError, match="dense form limited to 12 sites"):
+            run(RunConfig(n_sites=13, sweeps=400, chains=2, seed=1))
+
+
+class TestRecordSchema:
+    def test_record_key_order_and_basis_label(self):
+        rec = run(RunConfig(**{**FAST, "n_sites": 3, "rotate_sites": (0, 2)}))
+        record = rec.as_dict()
+        assert list(record) == CSV_HEADER[2:-1]
+        assert record["basis"] == "rotated:0,2"
+        assert record["n_sites"] == 3 and record["seed"] == FAST["seed"]
+        assert record["avg_sign"] == rec.avg_sign
+        assert run(RunConfig(**FAST)).as_dict()["basis"] == "rotated"
+        assert run(RunConfig(**FAST, basis="z")).as_dict()["basis"] == "z"
 
 
 class TestCampaign:
@@ -118,7 +177,7 @@ class TestCampaign:
         write_campaign_csv(campaign(spec), p2, spec)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
-        assert header == ",".join(CSV_FIELDS)
+        assert header == ",".join(CSV_HEADER)
         sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert sidecar["axis"] == "m_joint"
         assert sidecar["base_config"]["seed"] == FAST["seed"]
@@ -155,6 +214,30 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             parse_config_file(cfg)
 
+    def test_bad_value_names_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_sites = 3\nsweeps = 3.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: sweeps: ")):
+            parse_config_file(cfg)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: sweeps: " in capsys.readouterr().err
+
+    def test_option_table_covers_run_config(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(RUN_OPTIONS) == fields
+        assert set(FIELD_SAMPLES) == fields
+
+    @pytest.mark.parametrize("field", sorted(FIELD_SAMPLES))
+    def test_config_line_and_flag_agree(self, tmp_path, field):
+        line, flag = FIELD_SAMPLES[field]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        parser = build_parser()
+        from_file = _build_run_config(parser.parse_args(["run", "--config", str(cfg)]))
+        from_flag = _build_run_config(parser.parse_args(["run", *flag]))
+        assert from_file == from_flag
+        assert getattr(from_flag, field) != getattr(RunConfig(), field)
+
 
 class TestCli:
     def test_run_verb(self, capsys):
@@ -187,6 +270,16 @@ class TestCli:
         assert lines[0].startswith("thermal_energy=")
         eigenvalues = [float(v) for v in lines[2:]]
         np.testing.assert_allclose(eigenvalues, [-4.0, 0.0, 0.0, 4.0], atol=1e-10)
+
+    def test_ed_verb_defaults_follow_run_config(self, capsys):
+        assert main(["ed", "--sites", "3"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        expect = ed.thermal_energy(RunConfig(n_sites=3).model_spec())
+        assert first == f"thermal_energy={expect!r}"
+
+    def test_ed_verb_rejects_zero_temperature(self, capsys):
+        assert main(["ed", "--sites", "3", "-T", "0"]) == 2
+        assert "error: temperature must be positive" in capsys.readouterr().err
 
     def test_contract_check_verb(self, capsys):
         assert main(["contract-check", "--count", "40", "--seed", "2"]) == 0

@@ -118,6 +118,16 @@ class TestDenseHamiltonian:
         with pytest.raises(ValueError):
             dense_hamiltonian(spec(n=13))
 
+    def test_equals_kronecker_oracle_exactly(self):
+        # every entry is a sum of 0, +-1 and +-delta, so no rounding is allowed
+        for n in range(2, 9):
+            for delta in (0.0, 0.7, 1.0):
+                oracle = np.zeros((2 ** n, 2 ** n), dtype=complex)
+                for i in range(n):
+                    oracle += dense_bond_op(i, PauliFlavor.ZZ, n)
+                    oracle += delta * dense_bond_op(i, PauliFlavor.XX, n)
+                assert np.array_equal(dense_hamiltonian(spec(n=n, delta=delta)), oracle)
+
     def test_shifted_term_sum_identity(self):
         # H + sum_b coupling*(shift*I + sign*O_b) == offset * I
         for sp in (spec(n=2), spec(n=3, delta=0.4, m_x=1.3, m_z=0.7),
