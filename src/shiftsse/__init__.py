@@ -21,7 +21,7 @@ from .sampler import (
     update_alpha,
     update_insert_remove,
     update_string_fixed_n,
-    weight,
+    weight_of,
 )
 from .statevec import BasisChoice, BasisLabel, StateVector, apply_term, prepare, string_matrix_element
 

@@ -38,13 +38,7 @@ from .contraction import contract
 from .estimators import DEFAULT_BINS, average_sign, energy, percent_error
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
-from .sampler import (
-    Configuration,
-    SweepPlan,
-    rng_stream,
-    run_chain,
-    weight,
-)
+from .sampler import Configuration, SweepPlan, rng_stream, run_chain
 from .statevec import BasisChoice, BasisLabel, default_rotation
 
 __all__ = [
@@ -143,6 +137,12 @@ class RunConfig:
             raise ValueError("fewer sweeps than chains")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for name in ("plan_alpha", "plan_string", "plan_insert"):
+            count = getattr(self, name)
+            if count is not None and count < 1:
+                raise ValueError(f"{name} must be at least 1, got {count}")
+        if self.n_bins < 2:
+            raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
         if self.rotate_sites is not None:
             if self.basis != "rotated":
                 raise ValueError("rotate_sites needs basis 'rotated'")
@@ -425,7 +425,7 @@ def _random_basis(rng: np.random.Generator, n_sites: int) -> BasisChoice:
 
 def random_weight_equivalence_check(count: int, seed: int,
                                     qubit_budget: int = 12) -> float:
-    """Max relative deviation between direct and ancilla-register weights."""
+    """Max relative deviation between configuration and ancilla-register weights."""
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(count):
@@ -443,8 +443,8 @@ def random_weight_equivalence_check(count: int, seed: int,
         string = [terms[int(rng.integers(len(terms)))] for _ in range(length)]
         alpha = BasisLabel(tuple(int(b) for b in rng.integers(0, 2, size=n_sites)))
         basis = _random_basis(rng, n_sites)
-        config = Configuration(alpha=alpha, string=string, weight_value=0.0)
-        direct = weight(config, spec, basis)
+        config = Configuration(alpha, string, spec, basis)
+        direct = config.weight_value
         register = ancilla_weight(config, spec, basis)
         dev = abs(direct - register) / max(1.0, abs(direct), abs(register))
         worst = max(worst, dev)

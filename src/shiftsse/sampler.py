@@ -26,20 +26,20 @@ W supplies the remaining length dependence. Detailed balance with
 respect to |W| holds exactly and is enforced by an enumerated
 transition-matrix test.
 
-Weights are evaluated from propagated states, the standard SSE
-technique (Sandvik, PRB 59, R14157 (1999)). A configuration caches the
+The chain state is one `Configuration`: it binds the model and the
+basis once, and its label, string and weight cannot be reassigned from
+outside. Weights come from propagated states, the standard SSE
+technique (Sandvik, PRB 59, R14157 (1999)). A configuration holds the
 left states L_k = H_k ... H_1 |alpha> and the right states
 R_k = H_{k+1} ... H_n |alpha>; every bond factor is real symmetric, so
 <alpha| H_n ... H_{k+1} = R_k^dagger and W is proportional to
 Re <R_k|L_k> at any split k. A replacement at position p then costs one
 bond application and one inner product, <R_{p+1}|H'|L_p>, an insertion
 at slot s likewise <R_s|H_t|L_s>, and a removal at p only <R_{p+1}|L_p>.
-Both lists are extended lazily; an accepted move drops only the states
-it invalidates. A label flip propagates a fresh cache for the proposed
-label and adopts it when accepted. The cache is keyed on the identity of
-the configuration's alpha and string objects and of the model and
-basis, so a configuration built or reassigned from outside is
-re-propagated, never read stale. `weight_of` is the from-scratch
+Both lists are extended lazily. A label flip propagates fresh states
+for the proposed label. The proposal methods return the proposed
+weight, and `accept` applies the last proposal with its weight, keeping
+the states it does not invalidate. `weight_of` is the from-scratch
 reference evaluation.
 
 String lengths are unbounded; there is no truncation anywhere.
@@ -48,7 +48,7 @@ String lengths are unbounded; there is no truncation anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,13 +59,10 @@ from .statevec import BasisChoice, BasisLabel, bond_kernel, prepare, string_matr
 
 __all__ = [
     "Configuration",
-    "PropagatedStates",
     "SweepPlan",
     "SweepSample",
     "rng_stream",
-    "weight",
     "weight_of",
-    "propagated_states",
     "update_alpha",
     "update_string_fixed_n",
     "update_insert_remove",
@@ -84,32 +81,142 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
-@dataclass
 class Configuration:
-    """Chain state: basis label, operator string, and cached signed weight.
+    """Chain state: basis label, operator string and signed weight, bound
+    to one model and basis, with the propagated states of the pair.
 
-    The updates also keep the configuration's propagated states here
-    (see `propagated_states`); they are not part of its value.
+    left[k] = L_k = H_k ... H_1 |alpha> and right[j] = R_{n-j} =
+    H_{n-j+1} ... H_n |alpha>, each a valid prefix extended on demand.
+    Counting right states from the end of the string keeps them valid
+    when a move changes the length in front of them. `_kernels` holds the
+    bond kernel of each string operator, so propagation looks none up.
+
+    Every field is read-only. `relabel`, `replace`, `insert` and `remove`
+    return the signed weight of a proposed configuration and remember the
+    move; `accept` applies the last one together with its weight. The
+    string is never mutated in place: an accepted move builds a new list.
     """
 
-    alpha: BasisLabel
-    string: list
-    weight_value: float
-    states: PropagatedStates | None = field(default=None, init=False,
-                                            repr=False, compare=False)
+    __slots__ = ("_alpha", "_string", "_model", "_basis", "_weight",
+                 "_kernels", "_left", "_right", "_move")
+
+    def __init__(self, alpha: BasisLabel, string, model: ModelSpec, basis: BasisChoice):
+        self._model = model
+        self._basis = basis
+        self._string = list(string)
+        self._kernels = [bond_kernel(term, model.n_sites) for term in self._string]
+        self._adopt(alpha, [prepare(alpha, basis).amps])
+        n = len(self._string)
+        self._weight = self._weight_at(n, self._right_at(n), self._left_at(n)) if n else 1.0
+        self._move = None
+
+    @classmethod
+    def initial(cls, model: ModelSpec, basis: BasisChoice,
+                rng: np.random.Generator) -> "Configuration":
+        """Empty-string start; W = 1 for every label, so any alpha is valid."""
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=model.n_sites))
+        return cls(BasisLabel(bits), [], model, basis)
+
+    @property
+    def alpha(self) -> BasisLabel:
+        return self._alpha
+
+    @property
+    def string(self) -> list:
+        """Operator string, first entry applied first."""
+        return self._string
 
     @property
     def order(self) -> int:
-        return len(self.string)
+        return len(self._string)
 
-    @classmethod
-    def initial(cls, model: ModelSpec, rng: np.random.Generator | None = None) -> "Configuration":
-        """Empty-string start; W = 1 for every label, so any alpha is valid."""
-        if rng is None:
-            bits = (0,) * model.n_sites
-        else:
-            bits = tuple(int(b) for b in rng.integers(0, 2, size=model.n_sites))
-        return cls(alpha=BasisLabel(bits), string=[], weight_value=1.0)
+    @property
+    def weight_value(self) -> float:
+        """Signed weight W; exactly 1.0 when built with the empty string."""
+        return self._weight
+
+    @property
+    def model(self) -> ModelSpec:
+        return self._model
+
+    @property
+    def basis(self) -> BasisChoice:
+        return self._basis
+
+    def _left_at(self, k: int) -> np.ndarray:
+        left, kernels = self._left, self._kernels
+        while len(left) <= k:
+            left.append(kernels[len(left) - 1](left[-1]))
+        return left[k]
+
+    def _right_at(self, k: int) -> np.ndarray:
+        """R_k = H_{k+1} ... H_n |alpha>."""
+        right, kernels = self._right, self._kernels
+        n = len(kernels)
+        while len(right) <= n - k:
+            right.append(kernels[n - len(right)](right[-1]))
+        return right[n - k]
+
+    def _weight_at(self, n: int, bra: np.ndarray, ket: np.ndarray) -> float:
+        return _poisson_factor(self._model.beta, n) * float(np.vdot(bra, ket).real)
+
+    def relabel(self, alpha: BasisLabel) -> float:
+        """W with the label replaced by `alpha`: <alpha|L_n>, propagated afresh."""
+        left = [prepare(alpha, self._basis).amps]
+        for kernel in self._kernels:
+            left.append(kernel(left[-1]))
+        weight = self._weight_at(len(self._kernels), left[0], left[-1])
+        self._move = (Configuration._adopt, (alpha, left), weight)
+        return weight
+
+    def replace(self, pos: int, term) -> float:
+        """W with the operator at `pos` replaced: <R_{p+1}|H'|L_p>."""
+        kernel = bond_kernel(term, self._model.n_sites)
+        ket = kernel(self._left_at(pos))
+        weight = self._weight_at(len(self._string), self._right_at(pos + 1), ket)
+        self._move = (Configuration._splice, (pos, 1, [term], [kernel], ket), weight)
+        return weight
+
+    def insert(self, slot: int, term) -> float:
+        """W with `term` inserted before position `slot`: <R_s|H_t|L_s>."""
+        kernel = bond_kernel(term, self._model.n_sites)
+        ket = kernel(self._left_at(slot))
+        weight = self._weight_at(len(self._string) + 1, self._right_at(slot), ket)
+        self._move = (Configuration._splice, (slot, 0, [term], [kernel], ket), weight)
+        return weight
+
+    def remove(self, pos: int) -> float:
+        """W with the operator at `pos` removed: <R_{p+1}|L_p>."""
+        weight = self._weight_at(len(self._string) - 1, self._right_at(pos + 1),
+                                 self._left_at(pos))
+        self._move = (Configuration._splice, (pos, 1, [], [], None), weight)
+        return weight
+
+    def accept(self) -> None:
+        """Apply the last proposal and take its weight."""
+        apply, args, self._weight = self._move
+        self._move = None
+        apply(self, *args)
+
+    def _adopt(self, alpha: BasisLabel, left: list) -> None:
+        """Take a label with its left states; the right states restart at |alpha>."""
+        self._alpha = alpha
+        self._left = left
+        self._right = [left[0]]
+
+    def _splice(self, pos: int, cut: int, terms: list, kernels: list, ket) -> None:
+        """Replace the `cut` operators at `pos` by `terms`.
+
+        Left states up to `pos` and right states behind the cut stay
+        valid, and so does the proposal's left state past `pos`.
+        """
+        n = len(self._string)
+        del self._left[pos + 1:]
+        if ket is not None:
+            self._left.append(ket)
+        del self._right[n - pos - cut + 1:]
+        self._string = self._string[:pos] + terms + self._string[pos + cut:]
+        self._kernels = self._kernels[:pos] + kernels + self._kernels[pos + cut:]
 
 
 @dataclass(frozen=True)
@@ -171,120 +278,6 @@ def weight_of(alpha: BasisLabel, string: list, model: ModelSpec,
     return _poisson_factor(model.beta, n) * me.real
 
 
-def weight(config: Configuration, model: ModelSpec, basis: BasisChoice) -> float:
-    """Signed weight of a configuration (full evaluation, no caching)."""
-    return weight_of(config.alpha, config.string, model, basis)
-
-
-class PropagatedStates:
-    """Left and right propagated states of one (alpha, string) pair.
-
-    left[k] = L_k = H_k ... H_1 |alpha> and right[j] = R_{n-j} =
-    H_{n-j+1} ... H_n |alpha>, each a valid prefix extended on demand.
-    Counting right states from the end of the string keeps them valid
-    when a move changes the length in front of them. `kernels` holds the
-    bond kernel of each string operator, so propagation looks none up.
-
-    The proposal methods return the signed weight of the proposed
-    configuration and remember the move as a splice of the string;
-    `accept` applies the last one. The string is never mutated in place:
-    an accepted move builds a new list.
-    """
-
-    __slots__ = ("alpha", "string", "model", "basis", "kernels", "left", "right", "_move")
-
-    def __init__(self, alpha: BasisLabel, string: list, model: ModelSpec,
-                 basis: BasisChoice, kernels: list | None = None):
-        self.alpha = alpha
-        self.string = string
-        self.model = model
-        self.basis = basis
-        if kernels is None:
-            kernels = [bond_kernel(term, model.n_sites) for term in string]
-        self.kernels = kernels
-        start = prepare(alpha, basis).amps
-        self.left = [start]
-        self.right = [start]
-        self._move = None
-
-    def keyed_on(self, config: Configuration, model: ModelSpec,
-                 basis: BasisChoice) -> bool:
-        return (self.alpha is config.alpha and self.string is config.string
-                and self.model is model and self.basis is basis)
-
-    def relabeled(self, alpha: BasisLabel) -> "PropagatedStates":
-        """A fresh cache for the same string under another label."""
-        return PropagatedStates(alpha, self.string, self.model, self.basis, self.kernels)
-
-    def _left(self, k: int) -> np.ndarray:
-        left, kernels = self.left, self.kernels
-        while len(left) <= k:
-            left.append(kernels[len(left) - 1](left[-1]))
-        return left[k]
-
-    def _right(self, k: int) -> np.ndarray:
-        """R_k = H_{k+1} ... H_n |alpha>."""
-        right, kernels = self.right, self.kernels
-        n = len(kernels)
-        while len(right) <= n - k:
-            right.append(kernels[n - len(right)](right[-1]))
-        return right[n - k]
-
-    def _weight(self, n: int, bra: np.ndarray, ket: np.ndarray) -> float:
-        return _poisson_factor(self.model.beta, n) * float(np.vdot(bra, ket).real)
-
-    def weight(self) -> float:
-        """W of the cached pair itself, <R_n|L_n> = <alpha|L_n>."""
-        n = len(self.string)
-        return self._weight(n, self._right(n), self._left(n))
-
-    def replace(self, pos: int, term) -> float:
-        """W with the operator at `pos` replaced: <R_{p+1}|H'|L_p>."""
-        kernel = bond_kernel(term, self.model.n_sites)
-        ket = kernel(self._left(pos))
-        self._move = (pos, 1, [term], [kernel], ket)
-        return self._weight(len(self.string), self._right(pos + 1), ket)
-
-    def insert(self, slot: int, term) -> float:
-        """W with `term` inserted before position `slot`: <R_s|H_t|L_s>."""
-        kernel = bond_kernel(term, self.model.n_sites)
-        ket = kernel(self._left(slot))
-        self._move = (slot, 0, [term], [kernel], ket)
-        return self._weight(len(self.string) + 1, self._right(slot), ket)
-
-    def remove(self, pos: int) -> float:
-        """W with the operator at `pos` removed: <R_{p+1}|L_p>."""
-        self._move = (pos, 1, [], [], None)
-        return self._weight(len(self.string) - 1, self._right(pos + 1), self._left(pos))
-
-    def accept(self) -> list:
-        """Apply the last proposed move and return the new string.
-
-        The move replaces the `cut` operators at `pos` by `terms`. Left
-        states up to `pos` and right states behind the cut stay valid, and
-        so does the proposal's left state past `pos`.
-        """
-        pos, cut, terms, kernels, ket = self._move
-        self._move = None
-        n = len(self.string)
-        del self.left[pos + 1:]
-        if ket is not None:
-            self.left.append(ket)
-        del self.right[n - pos - cut + 1:]
-        self.string = self.string[:pos] + terms + self.string[pos + cut:]
-        self.kernels = self.kernels[:pos] + kernels + self.kernels[pos + cut:]
-        return self.string
-
-
-def propagated_states(config: Configuration, model: ModelSpec,
-                      basis: BasisChoice) -> PropagatedStates:
-    """The configuration's cache, rebuilt if any object it is keyed on changed."""
-    states = config.states
-    if states is None or not states.keyed_on(config, model, basis):
-        states = config.states = PropagatedStates(config.alpha, config.string, model, basis)
-    return states
-
-
 def metropolis_acceptance(w_old: float, w_new: float) -> float:
     """min(1, |W'|/|W|); zero-weight proposals never accept."""
     if w_new == 0.0:
@@ -304,8 +297,7 @@ def remove_acceptance(w_old: float, w_new: float, n_active: int) -> float:
     return min(1.0, abs(w_new) / (n_active * abs(w_old)))
 
 
-def update_alpha(config: Configuration, model: ModelSpec, basis: BasisChoice,
-                 rng: np.random.Generator) -> Configuration:
+def update_alpha(config: Configuration, rng: np.random.Generator) -> Configuration:
     """Flip one uniformly chosen label bit, Metropolis on |W|.
 
     The attempt is lazy: with probability 1/2 it proposes nothing. On
@@ -317,19 +309,14 @@ def update_alpha(config: Configuration, model: ModelSpec, basis: BasisChoice,
     """
     if rng.random() < 0.5:
         return config
-    qubit = int(rng.integers(model.n_sites))
-    proposal = config.alpha.flip(qubit)
-    fresh = propagated_states(config, model, basis).relabeled(proposal)
-    w_new = fresh.weight()
+    qubit = int(rng.integers(config.model.n_sites))
+    w_new = config.relabel(config.alpha.flip(qubit))
     if rng.random() < metropolis_acceptance(config.weight_value, w_new):
-        config.alpha = proposal
-        config.weight_value = w_new
-        config.states = fresh
+        config.accept()
     return config
 
 
-def update_string_fixed_n(config: Configuration, model: ModelSpec,
-                          basis: BasisChoice, rng: np.random.Generator) -> Configuration:
+def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> Configuration:
     """Replace the term at a uniform position with a uniform active term.
 
     Silently skipped at order 0. Self-replacements are ratio-1 moves and
@@ -338,52 +325,47 @@ def update_string_fixed_n(config: Configuration, model: ModelSpec,
     n = config.order
     if n == 0:
         return config
-    terms = _active(model)
+    terms = _active(config.model)
     pos = int(rng.integers(n))
     candidate = terms[int(rng.integers(len(terms)))]
     if candidate == config.string[pos]:
         return config
-    states = propagated_states(config, model, basis)
-    w_new = states.replace(pos, candidate)
+    w_new = config.replace(pos, candidate)
     if rng.random() < metropolis_acceptance(config.weight_value, w_new):
-        config.string = states.accept()
-        config.weight_value = w_new
+        config.accept()
     return config
 
 
-def update_insert_remove(config: Configuration, model: ModelSpec,
-                         basis: BasisChoice, rng: np.random.Generator) -> Configuration:
+def update_insert_remove(config: Configuration, rng: np.random.Generator) -> Configuration:
     """Grow or shrink the string by one operator (n -> n +- 1)."""
-    terms = _active(model)
+    terms = _active(config.model)
     n_active = len(terms)
     n = config.order
-    states = propagated_states(config, model, basis)
     if rng.random() < 0.5:
         slot = int(rng.integers(n + 1))
         term = terms[int(rng.integers(n_active))]
-        w_new = states.insert(slot, term)
+        w_new = config.insert(slot, term)
         accept = insert_acceptance(config.weight_value, w_new, n_active)
     else:
         if n == 0:
             return config
         pos = int(rng.integers(n))
-        w_new = states.remove(pos)
+        w_new = config.remove(pos)
         accept = remove_acceptance(config.weight_value, w_new, n_active)
     if rng.random() < accept:
-        config.string = states.accept()
-        config.weight_value = w_new
+        config.accept()
     return config
 
 
-def sweep(config: Configuration, plan: SweepPlan, model: ModelSpec,
-          basis: BasisChoice, rng: np.random.Generator) -> tuple[Configuration, SweepSample]:
+def sweep(config: Configuration, plan: SweepPlan,
+          rng: np.random.Generator) -> tuple[Configuration, SweepSample]:
     """Run one full sweep and emit (sign, order) of the final state."""
     for _ in range(plan.alpha_updates):
-        update_alpha(config, model, basis, rng)
+        update_alpha(config, rng)
     for _ in range(plan.string_count(config.order)):
-        update_string_fixed_n(config, model, basis, rng)
+        update_string_fixed_n(config, rng)
     for _ in range(plan.insert_remove_updates):
-        update_insert_remove(config, model, basis, rng)
+        update_insert_remove(config, rng)
     sign = 1 if config.weight_value > 0.0 else -1
     return config, SweepSample(sign=sign, order=config.order)
 
@@ -399,10 +381,10 @@ def run_chain(model: ModelSpec, basis: BasisChoice, plan: SweepPlan,
     """
     if warmup_sweeps >= sweeps:
         raise ValueError(f"warmup ({warmup_sweeps}) must be below sweeps ({sweeps})")
-    config = Configuration.initial(model, rng)
+    config = Configuration.initial(model, basis, rng)
     acc = RunAccumulators(n_bins=n_bins, expected_samples=sweeps - warmup_sweeps)
     for i in range(sweeps):
-        config, sample = sweep(config, plan, model, basis, rng)
+        config, sample = sweep(config, plan, rng)
         if i >= warmup_sweeps:
             acc.add(sample.sign, sample.order)
     return acc, config

@@ -69,6 +69,15 @@ class TestRunConfig:
             RunConfig(basis="bell")
         with pytest.raises(ValueError):
             RunConfig(sweeps=2, chains=4)
+        for name in ("plan_alpha", "plan_string", "plan_insert"):
+            for count in (0, -2):
+                with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                    RunConfig(**{name: count})
+            RunConfig(**{name: 1})
+        for n_bins in (1, 0):
+            with pytest.raises(ValueError, match="n_bins must be at least 2"):
+                RunConfig(n_bins=n_bins)
+        RunConfig(n_bins=2)
 
     def test_chain_schedule_splits_budget(self):
         cfg = RunConfig(sweeps=10001, chains=4, warmup_fraction=0.1)
@@ -261,6 +270,15 @@ class TestCli:
         code = main(["run", "--sites", "2", "--temperature", "-1"])
         assert code != 0
         assert "error" in capsys.readouterr().err
+
+    def test_bad_plan_fails_before_sampling(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a point whose sweep plan is invalid")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_work)
+        monkeypatch.setattr("shiftsse.harness.ed.thermal_energy", no_work)
+        assert main(["run", "--sites", "3", "--sweeps", "400", "--chains", "2",
+                     "--plan-alpha", "-2"]) == 2
+        assert "error: plan_alpha must be at least 1, got -2" in capsys.readouterr().err
 
     def test_ed_verb(self, capsys):
         code = main(["ed", "--sites", "2", "--delta", "1.0", "-T", "2.0",

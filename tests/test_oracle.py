@@ -6,7 +6,7 @@ import pytest
 from shiftsse.ed import spectrum
 from shiftsse.model import ModelSpec, active_terms
 from shiftsse.oracle import ancilla_weight, brute_force_partition
-from shiftsse.sampler import Configuration, weight, weight_of
+from shiftsse.sampler import Configuration, weight_of
 from shiftsse.statevec import BasisChoice, BasisLabel
 
 from conftest import tilted_basis
@@ -19,21 +19,23 @@ def spec(n=2, delta=1.0, m_x=1.0, m_z=1.0, beta=0.5):
 class TestAncillaWeight:
     def test_empty_string(self):
         model = spec()
-        cfg = Configuration(BasisLabel((1, 0)), [], 1.0)
-        assert ancilla_weight(cfg, model, BasisChoice.rotated()) == pytest.approx(1.0)
+        basis = BasisChoice.rotated()
+        cfg = Configuration(BasisLabel((1, 0)), [], model, basis)
+        assert ancilla_weight(cfg, model, basis) == pytest.approx(1.0)
 
     def test_single_term_anti_aligned(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((1, 0)), [active_terms(model)[0]], 0.0)
+        cfg = Configuration(BasisLabel((1, 0)), [active_terms(model)[0]], model, basis)
         assert ancilla_weight(cfg, model, basis) == pytest.approx(2.0, abs=1e-12)
 
     def test_register_size_limit(self):
         model = spec(n=4)
         terms = active_terms(model)
-        cfg = Configuration(BasisLabel((0,) * 4), [terms[0]] * 13, 0.0)
+        basis = BasisChoice.z_product()
+        cfg = Configuration(BasisLabel((0,) * 4), [terms[0]] * 13, model, basis)
         with pytest.raises(ValueError):
-            ancilla_weight(cfg, model, BasisChoice.z_product())
+            ancilla_weight(cfg, model, basis)
 
     def test_matches_direct_weight(self, rng):
         # spot equivalence here; the 500-configuration sweep runs in the
@@ -52,8 +54,8 @@ class TestAncillaWeight:
             string = [terms[int(rng.integers(len(terms)))] for _ in range(k)]
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n_sites))
             basis = tilted_basis(n_sites) if rng.random() < 0.5 else BasisChoice.rotated()
-            cfg = Configuration(BasisLabel(bits), string, 0.0)
-            direct = weight(cfg, model, basis)
+            cfg = Configuration(BasisLabel(bits), string, model, basis)
+            direct = weight_of(cfg.alpha, cfg.string, model, basis)
             register = ancilla_weight(cfg, model, basis)
             assert register == pytest.approx(direct, abs=1e-10, rel=1e-10)
 

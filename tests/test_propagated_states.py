@@ -1,10 +1,10 @@
-"""Propagated-state cache of the sampler against from-scratch weights.
+"""Propagated states of the chain configuration against from-scratch weights.
 
 The updates read every proposal weight from the configuration's cached
 left/right states; `weight_of` recomputes from the prepared vector. These
 tests drive the real update functions and compare after every call, probe
-each edge slot of the cache directly, and pin that a configuration whose
-alpha, string, model or basis changed from outside is re-propagated.
+each edge slot of the states directly, and pin that the chain state
+cannot be reassigned from outside and computes its own weight.
 """
 
 import math
@@ -16,7 +16,6 @@ from shiftsse.harness import _random_unitary
 from shiftsse.model import ModelSpec, active_terms
 from shiftsse.sampler import (
     Configuration,
-    propagated_states,
     rng_stream,
     update_alpha,
     update_insert_remove,
@@ -61,20 +60,20 @@ def bases(n_sites, seed):
     }
 
 
-def drive(config, model, basis, rng, sweeps):
+def drive(config, rng, sweeps):
     """Mixed update sequence; coherence is asserted after every call."""
     for _ in range(sweeps):
         for update in UPDATES:
-            for _ in range(model.n_sites):
-                update(config, model, basis, rng)
-                assert_coherent(config, model, basis)
+            for _ in range(config.model.n_sites):
+                update(config, rng)
+                assert_coherent(config, config.model, config.basis)
     return config
 
 
 def grown_config(model, basis, seed, sweeps=12):
     rng = rng_stream(seed)
-    config = Configuration.initial(model, rng)
-    return drive(config, model, basis, rng, sweeps), rng
+    config = Configuration.initial(model, basis, rng)
+    return drive(config, rng, sweeps), rng
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.5])
@@ -83,8 +82,8 @@ def test_updates_keep_weight_coherent(n_sites, beta):
     model = ModelSpec(n_sites=n_sites, delta=0.8, m_x=0.7, m_z=1.2, beta=beta)
     for basis in bases(n_sites, seed=n_sites).values():
         rng = rng_stream(100 * n_sites + int(10 * beta))
-        config = Configuration.initial(model, rng)
-        drive(config, model, basis, rng, sweeps=25)
+        config = Configuration.initial(model, basis, rng)
+        drive(config, rng, sweeps=25)
 
 
 @pytest.mark.parametrize("basis_name", ["z", "rotated", "random"])
@@ -105,33 +104,31 @@ def test_edge_slot_proposals_and_accepts(basis_name):
 
     for move, where, term in list(proposals(config.order)):
         alpha, string = config.alpha, config.string
-        states = propagated_states(config, model, basis)
         # touch an interior split first so the lists are partly extended
-        states.remove(len(string) // 2)
+        config.remove(len(string) // 2)
         if move == "insert":
-            got = states.insert(where, term)
+            got = config.insert(where, term)
             proposed = string[:where] + [term] + string[where:]
         elif move == "remove":
-            got = states.remove(where)
+            got = config.remove(where)
             proposed = string[:where] + string[where + 1:]
         else:
-            got = states.replace(where, term)
+            got = config.replace(where, term)
             proposed = string[:where] + [term] + string[where + 1:]
         assert_weight(got, alpha, proposed, model, basis)
-        config.string = states.accept()
-        config.weight_value = got
+        config.accept()
         assert config.string == proposed
-        assert propagated_states(config, model, basis) is states
+        assert config.weight_value == got
         # every split of the accepted configuration must still be exact
         n = config.order
         for slot in range(n + 1):
-            assert_weight(states.insert(slot, terms[slot % len(terms)]), alpha,
+            assert_weight(config.insert(slot, terms[slot % len(terms)]), alpha,
                           config.string[:slot] + [terms[slot % len(terms)]]
                           + config.string[slot:], model, basis)
         for pos in range(n):
-            assert_weight(states.remove(pos), alpha,
+            assert_weight(config.remove(pos), alpha,
                           config.string[:pos] + config.string[pos + 1:], model, basis)
-        assert_weight(states.weight(), alpha, config.string, model, basis)
+        assert_weight(config.relabel(alpha), alpha, config.string, model, basis)
 
 
 @pytest.mark.parametrize("basis_name", ["z", "rotated", "random"])
@@ -141,63 +138,37 @@ def test_accepted_label_flip_then_string_moves(basis_name):
     config, rng = grown_config(model, basis, seed=41)
     for _ in range(2000):
         before = config.alpha
-        update_alpha(config, model, basis, rng)
+        update_alpha(config, rng)
         if config.alpha != before:
             break
     else:
         pytest.fail("no label flip accepted")
     assert_coherent(config, model, basis)
-    adopted = config.states
-    assert propagated_states(config, model, basis) is adopted
     terms = active_terms(model)
     n = config.order
     for pos in (0, n - 1):
-        assert_weight(adopted.replace(pos, terms[1]), config.alpha,
+        assert_weight(config.replace(pos, terms[1]), config.alpha,
                       config.string[:pos] + [terms[1]] + config.string[pos + 1:],
                       model, basis)
     for slot in (0, n):
-        assert_weight(adopted.insert(slot, terms[2]), config.alpha,
+        assert_weight(config.insert(slot, terms[2]), config.alpha,
                       config.string[:slot] + [terms[2]] + config.string[slot:],
                       model, basis)
-    drive(config, model, basis, rng, sweeps=3)
+    drive(config, rng, sweeps=3)
 
 
-def test_reassigned_fields_are_never_read_stale():
+def test_chain_state_is_read_only_and_weighs_itself():
     model = ModelSpec(n_sites=4, delta=0.9, m_x=0.8, m_z=1.0, beta=1.2)
-    basis = BasisChoice.rotated()
-    terms = active_terms(model)
-    config, rng = grown_config(model, basis, seed=51)
-    assert config.order >= 2
-    old_states = propagated_states(config, model, basis)
+    for basis in bases(4, seed=5).values():
+        config, rng = grown_config(model, basis, seed=51)
+        assert config.order >= 2
+        for name, value in (("alpha", BasisLabel((1, 1, 1, 1))), ("string", []),
+                            ("weight_value", 1.0), ("model", model), ("basis", basis)):
+            with pytest.raises(AttributeError):
+                setattr(config, name, value)
 
-    # a new string list of a different length
-    config.string = list(config.string[1:]) + [terms[0], terms[5]]
-    config.weight_value = weight_of(config.alpha, config.string, model, basis)
-    states = propagated_states(config, model, basis)
-    assert states is not old_states
-    assert_weight(states.remove(0), config.alpha, config.string[1:], model, basis)
-
-    # a new label object
-    config.alpha = BasisLabel(tuple(1 - b for b in config.alpha.bits))
-    config.weight_value = weight_of(config.alpha, config.string, model, basis)
-    assert propagated_states(config, model, basis) is not states
-    n = config.order
-    assert_weight(propagated_states(config, model, basis).replace(n - 1, terms[2]),
-                  config.alpha, config.string[:-1] + [terms[2]], model, basis)
-    drive(config, model, basis, rng, sweeps=3)
-
-    # the same objects under another basis object
-    other = BasisChoice.rotated([_random_unitary(np.random.default_rng(5))
-                                 for _ in range(4)])
-    config.weight_value = weight_of(config.alpha, config.string, model, other)
-    drive(config, model, other, rng, sweeps=3)
-
-    # the same objects under another model object (same terms, lower beta)
-    cooler = ModelSpec(n_sites=4, delta=0.9, m_x=0.8, m_z=1.0, beta=0.7)
-    config.weight_value = weight_of(config.alpha, config.string, cooler, other)
-    drive(config, cooler, other, rng, sweeps=3)
-
-    # a configuration built by hand mid-chain from the current objects
-    by_hand = Configuration(config.alpha, config.string, config.weight_value)
-    assert by_hand.states is None
-    drive(by_hand, cooler, other, rng, sweeps=3)
+        # a configuration built by hand weighs itself like the reference
+        by_hand = Configuration(config.alpha, config.string, model, basis)
+        assert by_hand.weight_value == weight_of(config.alpha, config.string, model, basis)
+        drive(by_hand, rng, sweeps=3)
+        assert Configuration(config.alpha, [], model, basis).weight_value == 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shiftsse.model import ModelSpec, PauliFlavor, active_terms
+from shiftsse.oracle import ANCILLA_QUBIT_LIMIT, ancilla_weight
 from shiftsse.sampler import (
     Configuration,
     SweepPlan,
@@ -14,7 +15,6 @@ from shiftsse.sampler import (
     update_alpha,
     update_insert_remove,
     update_string_fixed_n,
-    weight,
     weight_of,
 )
 from shiftsse.statevec import BasisChoice, BasisLabel
@@ -33,15 +33,15 @@ def config_for(model, bits, term_ids, basis):
     terms = active_terms(model)
     string = [terms[i] for i in term_ids]
     alpha = BasisLabel(bits)
-    return Configuration(alpha=alpha, string=string,
-                         weight_value=weight_of(alpha, string, model, basis))
+    return Configuration(alpha, string, model, basis)
 
 
 class TestWeight:
     def test_empty_string(self):
         model = spec()
-        cfg = Configuration(BasisLabel((1, 0)), [], 0.0)
-        assert weight(cfg, model, BasisChoice.rotated()) == 1.0
+        basis = BasisChoice.rotated()
+        assert weight_of(BasisLabel((1, 0)), [], model, basis) == 1.0
+        assert Configuration(BasisLabel((1, 0)), [], model, basis).weight_value == 1.0
 
     def test_single_bond_anti_aligned(self):
         model = spec(beta=1.0)
@@ -71,11 +71,11 @@ class TestUpdateAlpha:
         model = spec()
         basis = BasisChoice.z_product()
         rng = rng_stream(5)
-        cfg = Configuration(BasisLabel((0, 0)), [], 1.0)
+        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
         moved = 0
         for _ in range(4000):
             before = cfg.alpha.bits
-            update_alpha(cfg, model, basis, rng)
+            update_alpha(cfg, rng)
             after = cfg.alpha.bits
             if after != before:
                 moved += 1
@@ -88,18 +88,18 @@ class TestUpdateAlpha:
         cfg = config_for(model, (1, 0), [0], basis)  # anti-aligned, W = 2
         rng = rng_stream(6)
         for _ in range(200):
-            update_alpha(cfg, model, basis, rng)
+            update_alpha(cfg, rng)
             assert cfg.alpha.bits in ((1, 0), (0, 1))
 
     def test_uniform_over_labels_at_order_zero(self):
         model = spec()
         basis = BasisChoice.z_product()
         rng = rng_stream(7)
-        cfg = Configuration(BasisLabel((0, 0)), [], 1.0)
+        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
         counts = {bits: 0 for bits in itertools.product((0, 1), repeat=2)}
         steps = 40000
         for _ in range(steps):
-            update_alpha(cfg, model, basis, rng)
+            update_alpha(cfg, rng)
             counts[cfg.alpha.bits] += 1
         expected = steps / 4
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -110,8 +110,8 @@ class TestUpdateString:
     def test_noop_at_order_zero(self):
         model = spec()
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((0, 0)), [], 1.0)
-        update_string_fixed_n(cfg, model, basis, rng_stream(8))
+        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
+        update_string_fixed_n(cfg, rng_stream(8))
         assert cfg.order == 0
 
     def test_delta_zero_proposals_stay_zz(self):
@@ -120,7 +120,7 @@ class TestUpdateString:
         cfg = config_for(model, (0, 1), [0, 1, 0], basis)
         rng = rng_stream(9)
         for _ in range(300):
-            update_string_fixed_n(cfg, model, basis, rng)
+            update_string_fixed_n(cfg, rng)
             assert all(t.flavor is PauliFlavor.ZZ for t in cfg.string)
             assert cfg.order == 3
 
@@ -131,23 +131,23 @@ class TestInsertRemove:
         basis = BasisChoice.z_product()
         # aligned pair: every ZZ insertion has zero weight, so the chain
         # is pinned at order 0 with weight 1
-        cfg = Configuration(BasisLabel((0, 0)), [], 1.0)
+        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
         rng = rng_stream(10)
         for _ in range(500):
-            update_insert_remove(cfg, model, basis, rng)
+            update_insert_remove(cfg, rng)
             assert cfg.order == 0
             assert cfg.weight_value == 1.0
 
     def test_grows_when_insertions_allowed(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((1, 0)), [], 1.0)
+        cfg = Configuration(BasisLabel((1, 0)), [], model, basis)
         rng = rng_stream(11)
         for _ in range(600):
-            update_insert_remove(cfg, model, basis, rng)
+            update_insert_remove(cfg, rng)
         assert cfg.order > 0
         assert cfg.weight_value == pytest.approx(
-            weight(cfg, model, basis), rel=1e-12
+            weight_of(cfg.alpha, cfg.string, model, basis), rel=1e-12
         )
 
 
@@ -195,9 +195,9 @@ class TestStationaryOrderDistribution:
         rng = rng_stream(12)
         plan = SweepPlan.default(2)
         orders = []
-        cfg = Configuration.initial(model, rng)
+        cfg = Configuration.initial(model, basis, rng)
         for i in range(30000):
-            cfg, sample = sweep(cfg, plan, model, basis, rng)
+            cfg, sample = sweep(cfg, plan, rng)
             if i >= 2000:
                 orders.append(sample.order)
         orders = np.array(orders)
@@ -231,10 +231,10 @@ class TestErgodicity:
         id_of = {t: i for i, t in enumerate(terms)}
         rng = rng_stream(13)
         plan = SweepPlan.default(2)
-        cfg = Configuration.initial(model, rng)
+        cfg = Configuration.initial(model, basis, rng)
         visited = set()
         for _ in range(12000):
-            cfg, _ = sweep(cfg, plan, model, basis, rng)
+            cfg, _ = sweep(cfg, plan, rng)
             if cfg.order <= 2:
                 visited.add((cfg.alpha.bits, tuple(id_of[t] for t in cfg.string)))
         missing = reachable - visited
@@ -260,10 +260,10 @@ class TestSweepProtocol:
 
         def stream(seed):
             rng = rng_stream(seed)
-            cfg = Configuration.initial(model, rng)
+            cfg = Configuration.initial(model, basis, rng)
             samples = []
             for _ in range(400):
-                cfg, s = sweep(cfg, plan, model, basis, rng)
+                cfg, s = sweep(cfg, plan, rng)
                 samples.append((s.sign, s.order))
             return samples, cfg
 
@@ -280,10 +280,10 @@ class TestSweepProtocol:
         basis = BasisChoice.z_product()
         rng = rng_stream(14)
         plan = SweepPlan.default(2)
-        cfg = Configuration.initial(model, rng)
+        cfg = Configuration.initial(model, basis, rng)
         orders = []
         for _ in range(15000):
-            cfg, s = sweep(cfg, plan, model, basis, rng)
+            cfg, s = sweep(cfg, plan, rng)
             orders.append(s.order)
         orders = np.array(orders[1000:])
         assert orders.max() > 2.0 * orders.mean()
@@ -298,3 +298,22 @@ class TestSweepProtocol:
         with pytest.raises(ValueError):
             run_chain(model, basis, SweepPlan.default(2), rng_stream(15),
                       sweeps=100, warmup_sweeps=100)
+
+
+class TestChainWeightAtSamplerSizes:
+    """The final chain weight of a run at N = 6 and 7 against both oracles."""
+
+    @pytest.mark.parametrize("basis_name", ["z", "rotated"])
+    @pytest.mark.parametrize("n_sites", [6, 7])
+    def test_final_weight_matches_oracles(self, n_sites, basis_name):
+        model = spec(n=n_sites, delta=0.8, m_x=0.9, m_z=1.1, beta=0.6)
+        basis = BasisChoice.z_product() if basis_name == "z" else BasisChoice.rotated()
+        _, cfg = run_chain(model, basis, SweepPlan.default(n_sites),
+                           rng_stream(40 + n_sites), sweeps=300, warmup_sweeps=30)
+        n = cfg.order
+        me = dense_matrix_element(cfg.alpha.bits, basis, cfg.string, n_sites)
+        dense = model.beta ** n / math.factorial(n) * me.real
+        assert cfg.weight_value == pytest.approx(dense, rel=1e-10, abs=0.0)
+        if n_sites + n <= ANCILLA_QUBIT_LIMIT:
+            register = ancilla_weight(cfg, model, basis)
+            assert cfg.weight_value == pytest.approx(register, rel=1e-10, abs=0.0)
