@@ -7,7 +7,7 @@ partition sums.
 """
 
 from .contraction import ContractedString, commute_adjacent, contract, merge_same_bond, sandwich_eliminate
-from .ed import Spectrum, spectrum, thermal_energy
+from .ed import spectrum, thermal_energy
 from .estimators import Estimate, EnergyEstimate, RunAccumulators, average_sign, energy, percent_error
 from .harness import CampaignSpec, ResultRecord, RunConfig, campaign, run
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, build_terms, dense_hamiltonian
@@ -23,6 +23,6 @@ from .sampler import (
     update_string_fixed_n,
     weight_of,
 )
-from .statevec import BasisChoice, BasisLabel, StateVector, apply_term, prepare, string_matrix_element
+from .statevec import BasisChoice, BasisLabel, StateVector, prepare
 
 __version__ = "0.1.0"

@@ -10,30 +10,16 @@ spectrum by the known offset and are excluded by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ModelSpec, dense_hamiltonian
 
-__all__ = ["Spectrum", "spectrum", "thermal_energy"]
+__all__ = ["spectrum", "thermal_energy"]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of the chain Hamiltonian, ascending."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("eigenvalues must be ascending")
-
-
-def spectrum(spec: ModelSpec) -> Spectrum:
+def spectrum(spec: ModelSpec) -> np.ndarray:
     """All eigenvalues of the unshifted chain Hamiltonian, ascending."""
-    return Spectrum(np.linalg.eigvalsh(dense_hamiltonian(spec)))
+    return np.linalg.eigvalsh(dense_hamiltonian(spec))
 
 
 def thermal_energy(spec: ModelSpec) -> float:
@@ -42,6 +28,6 @@ def thermal_energy(spec: ModelSpec) -> float:
     Exponents are shifted by the ground-state energy so the weights never
     overflow at large beta.
     """
-    vals = spectrum(spec).eigenvalues
+    vals = spectrum(spec)
     weights = np.exp(-spec.beta * (vals - vals[0]))
     return float(np.sum(vals * weights) / np.sum(weights))

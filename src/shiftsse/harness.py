@@ -35,7 +35,7 @@ import numpy as np
 
 from . import ed
 from .contraction import contract
-from .estimators import DEFAULT_BINS, average_sign, energy, percent_error
+from .estimators import DEFAULT_BINS, energy, percent_error
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
@@ -260,7 +260,6 @@ def run(config: RunConfig) -> ResultRecord:
     for extra in accs[1:]:
         merged.absorb(extra)
 
-    sign_est = average_sign(merged)
     energy_est = energy(merged, spec)
     pct = (
         percent_error(energy_est.value, energy_est.stderr, e_ref)
@@ -269,8 +268,8 @@ def run(config: RunConfig) -> ResultRecord:
     )
     return ResultRecord(
         config=config,
-        avg_sign=sign_est.value,
-        avg_sign_err=sign_est.stderr,
+        avg_sign=energy_est.sign_value,
+        avg_sign_err=energy_est.sign_stderr,
         energy=energy_est.value,
         energy_err=energy_est.stderr,
         avg_order=energy_est.order_value,
@@ -515,7 +514,7 @@ def _cmd_ed(args: argparse.Namespace) -> int:
     print(f"thermal_energy={value!r}")
     print(f"energy_offset={spec.energy_offset!r}")
     if args.spectrum:
-        for ev in ed.spectrum(spec).eigenvalues:
+        for ev in ed.spectrum(spec):
             print(repr(float(ev)))
     return 0
 

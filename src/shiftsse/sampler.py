@@ -40,7 +40,8 @@ Both lists are extended lazily. A label flip propagates fresh states
 for the proposed label. The proposal methods return the proposed
 weight, and `accept` applies the last proposal with its weight, keeping
 the states it does not invalidate. `weight_of` is the from-scratch
-reference evaluation.
+weight of any pair: it builds a fresh `Configuration`. Every update
+decides through the one rule `acceptance`.
 
 String lengths are unbounded; there is no truncation anywhere.
 """
@@ -55,7 +56,7 @@ import numpy as np
 
 from .estimators import DEFAULT_BINS, RunAccumulators
 from .model import ModelSpec, active_terms
-from .statevec import BasisChoice, BasisLabel, bond_kernel, prepare, string_matrix_element
+from .statevec import BasisChoice, BasisLabel, bond_kernel, prepare
 
 __all__ = [
     "Configuration",
@@ -63,6 +64,7 @@ __all__ = [
     "SweepSample",
     "rng_stream",
     "weight_of",
+    "acceptance",
     "update_alpha",
     "update_string_fixed_n",
     "update_insert_remove",
@@ -107,7 +109,7 @@ class Configuration:
         self._kernels = [bond_kernel(term, model.n_sites) for term in self._string]
         self._adopt(alpha, [prepare(alpha, basis).amps])
         n = len(self._string)
-        self._weight = self._weight_at(n, self._right_at(n), self._left_at(n)) if n else 1.0
+        self._weight = self._weight_at(n, self._right_at(n), self._left_at(n))
         self._move = None
 
     @classmethod
@@ -132,7 +134,7 @@ class Configuration:
 
     @property
     def weight_value(self) -> float:
-        """Signed weight W; exactly 1.0 when built with the empty string."""
+        """Signed weight W; exactly 1.0 at order 0."""
         return self._weight
 
     @property
@@ -158,7 +160,12 @@ class Configuration:
         return right[n - k]
 
     def _weight_at(self, n: int, bra: np.ndarray, ket: np.ndarray) -> float:
-        return _poisson_factor(self._model.beta, n) * float(np.vdot(bra, ket).real)
+        """beta^n/n! * Re <bra|ket>, the factorial through logs so any order
+        is safe; the empty string weighs exactly 1."""
+        if n == 0:
+            return 1.0
+        poisson = math.exp(n * math.log(self._model.beta) - math.lgamma(n + 1))
+        return poisson * float(np.vdot(bra, ket).real)
 
     def relabel(self, alpha: BasisLabel) -> float:
         """W with the label replaced by `alpha`: <alpha|L_n>, propagated afresh."""
@@ -261,40 +268,21 @@ def _active(model: ModelSpec) -> tuple:
     return tuple(active_terms(model))
 
 
-def _poisson_factor(beta: float, n: int) -> float:
-    """beta^n / n! through logs, safe for any order."""
-    if n == 0:
-        return 1.0
-    return math.exp(n * math.log(beta) - math.lgamma(n + 1))
-
-
 def weight_of(alpha: BasisLabel, string: list, model: ModelSpec,
               basis: BasisChoice) -> float:
     """Signed weight of an arbitrary (alpha, string) pair, from scratch."""
-    n = len(string)
-    if n == 0:
-        return 1.0
-    me = string_matrix_element(alpha, basis, string)
-    return _poisson_factor(model.beta, n) * me.real
+    return Configuration(alpha, string, model, basis).weight_value
 
 
-def metropolis_acceptance(w_old: float, w_new: float) -> float:
-    """min(1, |W'|/|W|); zero-weight proposals never accept."""
+def acceptance(w_old: float, w_new: float, up: int = 1, down: int = 1) -> float:
+    """min(1, up*|W'| / (down*|W|)); zero-weight proposals never accept.
+
+    `up` and `down` carry the proposal asymmetry: N_act up for an
+    insertion, N_act down for a removal, 1 for the symmetric moves.
+    """
     if w_new == 0.0:
         return 0.0
-    return min(1.0, abs(w_new) / abs(w_old))
-
-
-def insert_acceptance(w_old: float, w_new: float, n_active: int) -> float:
-    if w_new == 0.0:
-        return 0.0
-    return min(1.0, n_active * abs(w_new) / abs(w_old))
-
-
-def remove_acceptance(w_old: float, w_new: float, n_active: int) -> float:
-    if w_new == 0.0:
-        return 0.0
-    return min(1.0, abs(w_new) / (n_active * abs(w_old)))
+    return min(1.0, up * abs(w_new) / (down * abs(w_old)))
 
 
 def update_alpha(config: Configuration, rng: np.random.Generator) -> Configuration:
@@ -311,7 +299,7 @@ def update_alpha(config: Configuration, rng: np.random.Generator) -> Configurati
         return config
     qubit = int(rng.integers(config.model.n_sites))
     w_new = config.relabel(config.alpha.flip(qubit))
-    if rng.random() < metropolis_acceptance(config.weight_value, w_new):
+    if rng.random() < acceptance(config.weight_value, w_new):
         config.accept()
     return config
 
@@ -331,7 +319,7 @@ def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> Co
     if candidate == config.string[pos]:
         return config
     w_new = config.replace(pos, candidate)
-    if rng.random() < metropolis_acceptance(config.weight_value, w_new):
+    if rng.random() < acceptance(config.weight_value, w_new):
         config.accept()
     return config
 
@@ -345,13 +333,13 @@ def update_insert_remove(config: Configuration, rng: np.random.Generator) -> Con
         slot = int(rng.integers(n + 1))
         term = terms[int(rng.integers(n_active))]
         w_new = config.insert(slot, term)
-        accept = insert_acceptance(config.weight_value, w_new, n_active)
+        accept = acceptance(config.weight_value, w_new, up=n_active)
     else:
         if n == 0:
             return config
         pos = int(rng.integers(n))
         w_new = config.remove(pos)
-        accept = remove_acceptance(config.weight_value, w_new, n_active)
+        accept = acceptance(config.weight_value, w_new, down=n_active)
     if rng.random() < accept:
         config.accept()
     return config

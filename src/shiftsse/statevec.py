@@ -1,13 +1,11 @@
-"""Dense complex statevector kernel for bond-term products.
+"""Product-state preparation and the per-term bond kernel.
 
-Matrix elements <alpha| H_{b_n} ... H_{b_1} |alpha> are evaluated by
-preparing |alpha> as a product state, applying each shifted bond term in
-string order, and projecting back onto |alpha>. Shifted terms
-coupling*(shift*I + sign*O) are not unitary and in general branch a basis
-state into a superposition; the dense vector tracks this exactly.
-
-Every bond-term application, here and in the sampler's propagated
-states, goes through one raw-array kernel per term (`bond_kernel`).
+`prepare` builds |alpha> as a dense complex product state, and
+`bond_kernel` maps a dense vector through one shifted bond term
+coupling*(shift*I + sign*O). Shifted terms are not unitary and in
+general branch a basis state into a superposition; the dense vector
+tracks this exactly. The sampler's `Configuration` turns strings into
+weights with these two pieces.
 
 Basis states are product states: plain Z eigenstates, or Z eigenstates
 rotated qubit-by-qubit through a single-qubit unitary (default T*H, a
@@ -33,9 +31,7 @@ __all__ = [
     "StateVector",
     "default_rotation",
     "prepare",
-    "apply_term",
     "bond_kernel",
-    "string_matrix_element",
 ]
 
 _UNITARY_TOL = 1e-12
@@ -115,21 +111,9 @@ class BasisLabel:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError(f"bits must be 0/1, got {self.bits}")
 
-    @classmethod
-    def zeros(cls, n: int) -> "BasisLabel":
-        return cls((0,) * n)
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "BasisLabel":
-        return cls(tuple((index >> i) & 1 for i in range(n)))
-
     @property
     def n_qubits(self) -> int:
         return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
 
     def flip(self, qubit: int) -> "BasisLabel":
         bits = list(self.bits)
@@ -182,26 +166,3 @@ def bond_kernel(term: BondTerm, n_qubits: int) -> Callable[[np.ndarray], np.ndar
     partner = idx ^ ((1 << i) | (1 << j))
     identity, flip = term.coupling * term.shift, term.coupling * term.sign
     return lambda amps: identity * amps + flip * amps[partner]
-
-
-def apply_term(state: StateVector, term: BondTerm) -> StateVector:
-    """coupling*(shift*|psi> + sign*O_b|psi>); branching is expected.
-
-    The result is generally unnormalized: shifted terms are positive
-    affine combinations of I and a Pauli string, not unitaries.
-    """
-    return StateVector(state.n_qubits, bond_kernel(term, state.n_qubits)(state.amps))
-
-
-def string_matrix_element(label: BasisLabel, basis: BasisChoice,
-                          string: list[BondTerm]) -> complex:
-    """<alpha| H_{b_n} ... H_{b_1} |alpha> with the first list entry applied first.
-
-    The empty string gives <alpha|alpha> = 1.
-    """
-    n = label.n_qubits
-    start = prepare(label, basis).amps
-    cur = start
-    for term in string:
-        cur = bond_kernel(term, n)(cur)
-    return complex(np.vdot(start, cur))

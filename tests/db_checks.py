@@ -2,7 +2,7 @@
 
 Each builder enumerates a micro instance's configuration space, forms the
 exact proposal/acceptance transition matrix from the sampler's own
-acceptance functions, and returns the worst |pi P - pi| residual with
+`acceptance` rule, and returns the worst |pi P - pi| residual with
 pi proportional to |W|. Residuals at rounding scale certify detailed
 balance of the implemented update rules.
 """
@@ -10,12 +10,7 @@ balance of the implemented update rules.
 import itertools
 
 from shiftsse.model import active_terms
-from shiftsse.sampler import (
-    insert_acceptance,
-    metropolis_acceptance,
-    remove_acceptance,
-    weight_of,
-)
+from shiftsse.sampler import acceptance, weight_of
 from shiftsse.statevec import BasisLabel
 
 
@@ -50,8 +45,7 @@ def alpha_stationarity_residual(model, basis, string):
             flipped = tuple(b ^ (1 if q == qubit else 0)
                             for q, b in enumerate(bits))
             # lazy coin 1/2, then uniform qubit choice
-            prob = 0.5 / model.n_sites * metropolis_acceptance(
-                w, states.get(flipped, 0.0))
+            prob = 0.5 / model.n_sites * acceptance(w, states.get(flipped, 0.0))
             if flipped in states and prob > 0:
                 row[flipped] = row.get(flipped, 0.0) + prob
             stay -= prob
@@ -80,7 +74,7 @@ def string_stationarity_residual(model, basis, bits, n):
                 new_ids = ids[:pos] + (tid,) + ids[pos + 1:]
                 if new_ids == ids:
                     continue  # self-replacement: pure self-loop
-                prob = (1.0 / (n * n_active)) * metropolis_acceptance(
+                prob = (1.0 / (n * n_active)) * acceptance(
                     w, states.get(new_ids, 0.0))
                 if new_ids in states and prob > 0:
                     row[new_ids] = row.get(new_ids, 0.0) + prob
@@ -116,8 +110,8 @@ def insert_remove_stationarity_residual(model, basis, n_cap):
             for slot in range(n + 1):
                 for tid in range(n_active):
                     new_ids = ids[:slot] + (tid,) + ids[slot:]
-                    prob = 0.5 / ((n + 1) * n_active) * insert_acceptance(
-                        w, states.get((bits, new_ids), 0.0), n_active)
+                    prob = 0.5 / ((n + 1) * n_active) * acceptance(
+                        w, states.get((bits, new_ids), 0.0), up=n_active)
                     key = (bits, new_ids)
                     if key in states and prob > 0:
                         row[key] = row.get(key, 0.0) + prob
@@ -127,8 +121,8 @@ def insert_remove_stationarity_residual(model, basis, n_cap):
         if n > 0:
             for pos in range(n):
                 new_ids = ids[:pos] + ids[pos + 1:]
-                prob = 0.5 / n * remove_acceptance(
-                    w, states.get((bits, new_ids), 0.0), n_active)
+                prob = 0.5 / n * acceptance(
+                    w, states.get((bits, new_ids), 0.0), down=n_active)
                 key = (bits, new_ids)
                 if key in states and prob > 0:
                     row[key] = row.get(key, 0.0) + prob

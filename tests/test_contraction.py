@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from shiftsse.contraction import (
     merge_same_bond,
     sandwich_eliminate,
 )
-from shiftsse.model import BondTerm, PauliFlavor
-from shiftsse.statevec import BasisChoice, BasisLabel, string_matrix_element
+from shiftsse.model import BondTerm, ModelSpec, PauliFlavor
+from shiftsse.sampler import Configuration
+from shiftsse.statevec import BasisChoice, BasisLabel
 
 from conftest import dense_string_product, dense_term, random_term
 
@@ -181,14 +184,18 @@ class TestContract:
             assert twice.terms == once.terms
 
     def test_weight_equivalence_both_bases(self, rng):
+        # at beta = 1 a weight is Re <alpha|string|alpha> / n!
+        def element(label, terms, model, basis):
+            weight = Configuration(label, terms, model, basis).weight_value
+            return math.factorial(len(terms)) * weight
+
         for basis in (BasisChoice.z_product(), BasisChoice.rotated()):
             for _ in range(25):
                 n = int(rng.integers(2, 5))
-                bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
-                label = BasisLabel(bits)
+                model = ModelSpec(n_sites=n, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
+                label = BasisLabel(tuple(int(b) for b in rng.integers(0, 2, size=n)))
                 string = [random_term(rng, n) for _ in range(int(rng.integers(0, 7)))]
                 reduced = contract(string, n)
-                direct = string_matrix_element(label, basis, string)
-                via = reduced.prefactor * string_matrix_element(label, basis,
-                                                                reduced.terms)
+                direct = element(label, string, model, basis)
+                via = reduced.prefactor * element(label, reduced.terms, model, basis)
                 assert via == pytest.approx(direct, abs=1e-10)

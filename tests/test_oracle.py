@@ -80,7 +80,7 @@ class TestBruteForce:
         # Z equals sum_k exp(-beta (E_k - offset)) independent of basis
         model = spec(beta=0.25)
         expect = float(np.sum(np.exp(-model.beta * (
-            spectrum(model).eigenvalues - model.energy_offset))))
+            spectrum(model) - model.energy_offset))))
         for basis in (BasisChoice.z_product(), tilted_basis(2)):
             z, _, tail = brute_force_partition(model, basis, n_max=18)
             assert tail < 1e-8

@@ -7,6 +7,7 @@ each edge slot of the states directly, and pin that the chain state
 cannot be reassigned from outside and computes its own weight.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -172,3 +173,20 @@ def test_chain_state_is_read_only_and_weighs_itself():
         assert by_hand.weight_value == weight_of(config.alpha, config.string, model, basis)
         drive(by_hand, rng, sweeps=3)
         assert Configuration(config.alpha, [], model, basis).weight_value == 1.0
+
+
+def test_order_zero_weighs_exactly_one():
+    # <alpha|alpha> in a rotated basis rounds to 1 - 6e-16; order 0 must not
+    model = ModelSpec(n_sites=3, delta=1.0, m_x=1.0, m_z=1.0, beta=0.5)
+    basis = BasisChoice.rotated()
+    term = active_terms(model)[0]
+    for bits in itertools.product((0, 1), repeat=3):
+        alpha = BasisLabel(bits)
+        empty = Configuration(alpha.flip(0), [], model, basis)
+        assert empty.relabel(alpha) == 1.0
+        empty.accept()
+        assert empty.weight_value == 1.0
+        single = Configuration(alpha, [term], model, basis)
+        assert single.remove(0) == 1.0
+        single.accept()
+        assert single.weight_value == 1.0

@@ -1,15 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from shiftsse.model import BondTerm, PauliFlavor
+from shiftsse.model import BondTerm, ModelSpec, PauliFlavor
+from shiftsse.sampler import Configuration
 from shiftsse.statevec import (
     BasisChoice,
     BasisLabel,
-    StateVector,
-    apply_term,
+    bond_kernel,
     default_rotation,
     prepare,
-    string_matrix_element,
 )
 
 from conftest import dense_matrix_element, dense_term, random_term
@@ -21,6 +22,12 @@ def zz(site=0, shift=1.0, sign=-1, coupling=1.0):
 
 def xx(site=0, shift=1.0, sign=-1, coupling=1.0):
     return BondTerm(site, PauliFlavor.XX, coupling, shift, sign)
+
+
+def weight(bits, basis, string, beta=1.0):
+    """Configuration weight of a hand-built string; the model only fixes N and beta."""
+    model = ModelSpec(n_sites=len(bits), delta=1.0, m_x=1.0, m_z=1.0, beta=beta)
+    return Configuration(BasisLabel(bits), string, model, basis).weight_value
 
 
 class TestPrepare:
@@ -54,63 +61,61 @@ class TestPrepare:
             prepare(BasisLabel((0, 1, 0)), basis)
 
     def test_label_helpers(self):
-        label = BasisLabel.from_index(5, 4)
-        assert label.bits == (1, 0, 1, 0)
-        assert label.index == 5
+        label = BasisLabel((1, 0, 1, 0))
+        assert label.n_qubits == 4
         assert label.flip(1).bits == (1, 1, 1, 0)
         with pytest.raises(ValueError):
             BasisLabel((0, 2))
 
 
 class TestApplyTerm:
+    """One bond term applied through its raw-array kernel."""
+
     def test_zz_signs_on_aligned_pair(self):
-        st = prepare(BasisLabel((0, 0)), BasisChoice.z_product())
+        amps = prepare(BasisLabel((0, 0)), BasisChoice.z_product()).amps
         # ferromagnetic-sign convention doubles an aligned pair
-        out = apply_term(st, zz(sign=+1))
-        np.testing.assert_allclose(out.amps, 2.0 * st.amps, atol=0)
+        out = bond_kernel(zz(sign=+1), 2)(amps)
+        np.testing.assert_allclose(out, 2.0 * amps, atol=0)
         # the antiferromagnetic term annihilates it
-        out = apply_term(st, zz(sign=-1))
-        np.testing.assert_allclose(out.amps, np.zeros(4), atol=0)
+        out = bond_kernel(zz(sign=-1), 2)(amps)
+        np.testing.assert_allclose(out, np.zeros(4), atol=0)
 
     def test_xx_branches(self):
-        st = prepare(BasisLabel((0, 0)), BasisChoice.z_product())
-        out = apply_term(st, xx(sign=-1))
-        np.testing.assert_allclose(out.amps, [1, 0, 0, -1], atol=0)
+        amps = prepare(BasisLabel((0, 0)), BasisChoice.z_product()).amps
+        out = bond_kernel(xx(sign=-1), 2)(amps)
+        np.testing.assert_allclose(out, [1, 0, 0, -1], atol=0)
 
     def test_matches_dense_oracle_on_random_states(self, rng):
         for _ in range(40):
             n = int(rng.integers(2, 5))
             term = random_term(rng, n)
             amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            out = apply_term(StateVector(n, amps), term)
-            np.testing.assert_allclose(out.amps, dense_term(term, n) @ amps,
-                                       atol=1e-12)
+            out = bond_kernel(term, n)(amps)
+            np.testing.assert_allclose(out, dense_term(term, n) @ amps, atol=1e-12)
 
     def test_linearity(self, rng):
         n = 3
         term = random_term(rng, n)
+        kernel = bond_kernel(term, n)
         u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         a, b = 0.7 - 0.2j, -1.3 + 0.5j
-        lhs = apply_term(StateVector(n, a * u + b * v), term).amps
-        rhs = (a * apply_term(StateVector(n, u), term).amps
-               + b * apply_term(StateVector(n, v), term).amps)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        np.testing.assert_allclose(kernel(a * u + b * v), a * kernel(u) + b * kernel(v),
+                                   atol=1e-12)
 
     def test_site_out_of_range(self):
-        st = prepare(BasisLabel((0, 0)), BasisChoice.z_product())
         with pytest.raises(ValueError):
-            apply_term(st, zz(site=2))
+            bond_kernel(zz(site=2), 2)
 
 
 class TestStringMatrixElement:
+    """String matrix elements, read through the configuration weight."""
+
     def test_empty_string(self):
-        val = string_matrix_element(BasisLabel((1, 0)), BasisChoice.rotated(), [])
-        assert val == pytest.approx(1.0 + 0.0j)
+        assert weight((1, 0), BasisChoice.rotated(), []) == 1.0
 
     def test_antialigned_pair(self):
-        val = string_matrix_element(BasisLabel((1, 0)), BasisChoice.z_product(), [zz()])
-        assert val == pytest.approx(2.0 + 0.0j)
+        assert weight((1, 0), BasisChoice.z_product(), [zz()]) == pytest.approx(2.0)
 
     def test_matches_dense_oracle_rotated(self, rng):
         basis = BasisChoice.rotated()
@@ -118,32 +123,41 @@ class TestStringMatrixElement:
             n = 3
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
             string = [random_term(rng, n) for _ in range(int(rng.integers(0, 5)))]
-            got = string_matrix_element(BasisLabel(bits), basis, string)
-            want = dense_matrix_element(bits, basis, string, n)
+            beta = float(rng.uniform(0.2, 2.0))
+            got = weight(bits, basis, string, beta)
+            me = dense_matrix_element(bits, basis, string, n)
+            want = beta ** len(string) / math.factorial(len(string)) * me.real
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_reversal_conjugates(self, rng):
         # shifted bond factors are real symmetric, so reversing the string
         # conjugates the matrix element
+        def element(bits, string):
+            start = prepare(BasisLabel(bits), basis).amps
+            cur = start
+            for term in string:
+                cur = bond_kernel(term, len(bits))(cur)
+            return complex(np.vdot(start, cur))
+
         basis = BasisChoice.rotated()
         for _ in range(20):
             n = int(rng.integers(2, 5))
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
             string = [random_term(rng, n) for _ in range(int(rng.integers(1, 7)))]
-            fwd = string_matrix_element(BasisLabel(bits), basis, string)
-            rev = string_matrix_element(BasisLabel(bits), basis, string[::-1])
+            fwd = element(bits, string)
+            rev = element(bits, string[::-1])
             assert rev.real == pytest.approx(fwd.real, abs=1e-11)
             assert rev.imag == pytest.approx(-fwd.imag, abs=1e-11)
+            assert weight(bits, basis, string[::-1]) == pytest.approx(
+                weight(bits, basis, string), abs=1e-11)
 
     def test_commuting_limit_nonnegative_in_any_basis(self, rng):
         # unit-shift antiferromagnetic ZZ factors are commuting PSD operators,
-        # so every matrix element is real and non-negative in both bases
+        # so every weight is non-negative in both bases
         for basis in (BasisChoice.z_product(), BasisChoice.rotated()):
             for _ in range(25):
                 n = int(rng.integers(2, 5))
                 bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
                 string = [zz(site=int(rng.integers(n)))
                           for _ in range(int(rng.integers(1, 8)))]
-                val = string_matrix_element(BasisLabel(bits), basis, string)
-                assert abs(val.imag) < 1e-12
-                assert val.real >= -1e-12
+                assert weight(bits, basis, string) >= -1e-12
