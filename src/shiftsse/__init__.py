@@ -8,7 +8,7 @@ partition sums.
 
 from .contraction import ContractedString, commute_adjacent, contract, merge_same_bond, sandwich_eliminate
 from .ed import spectrum, thermal_energy
-from .estimators import Estimate, EnergyEstimate, RunAccumulators, average_sign, energy, percent_error
+from .estimators import Estimate, EnergyEstimate, RunAccumulators, average_sign, energy
 from .harness import CampaignSpec, ResultRecord, RunConfig, campaign, run
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, build_terms, dense_hamiltonian
 from .oracle import ancilla_weight, brute_force_partition

@@ -14,8 +14,8 @@ Error bars are 1 sigma. An energy estimate is flagged unreliable when
 from zero the reweighted ratio loses meaning, but the raw numbers are
 still carried so callers can report them.
 
-Accumulators merge bin-by-bin, so independent chains combine into one
-estimate; merging is associative and commutative.
+Accumulators absorb one another bin-by-bin, so independent chains
+combine into one estimate; absorbing is associative and commutative.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ __all__ = [
     "RunAccumulators",
     "Estimate",
     "EnergyEstimate",
-    "merge",
     "average_sign",
     "energy",
-    "percent_error",
 ]
 
 DEFAULT_BINS = 20
@@ -60,7 +58,7 @@ class EnergyEstimate:
 
 
 class RunAccumulators:
-    """Bin sums of sign, order and order*sign, filled in arrival order."""
+    """Bin sums of sign and order*sign, filled in arrival order."""
 
     def __init__(self, n_bins: int = DEFAULT_BINS, expected_samples: int = 0):
         if n_bins < 2:
@@ -70,7 +68,6 @@ class RunAccumulators:
         self.count = 0
         self.bin_count = np.zeros(n_bins, dtype=np.int64)
         self.bin_sign = np.zeros(n_bins)
-        self.bin_order = np.zeros(n_bins)
         self.bin_order_sign = np.zeros(n_bins)
 
     def add(self, sign: int, order: int) -> None:
@@ -82,7 +79,6 @@ class RunAccumulators:
         self.count += 1
         self.bin_count[idx] += 1
         self.bin_sign[idx] += sign
-        self.bin_order[idx] += order
         self.bin_order_sign[idx] += order * sign
 
     def absorb(self, other: "RunAccumulators") -> None:
@@ -92,16 +88,7 @@ class RunAccumulators:
         self.count += other.count
         self.bin_count += other.bin_count
         self.bin_sign += other.bin_sign
-        self.bin_order += other.bin_order
         self.bin_order_sign += other.bin_order_sign
-
-
-def merge(a: RunAccumulators, b: RunAccumulators) -> RunAccumulators:
-    """Combine two accumulators bin-by-bin into a new one."""
-    out = RunAccumulators(a.n_bins, 0)
-    out.absorb(a)
-    out.absorb(b)
-    return out
 
 
 def _require_filled_bins(acc: RunAccumulators) -> None:
@@ -166,13 +153,3 @@ def energy(acc: RunAccumulators, model: ModelSpec) -> EnergyEstimate:
         sign_stderr=sign_est.stderr,
     )
 
-
-def percent_error(value: float, stderr: float, reference: float) -> float:
-    """Statistical error as a percentage of a reference value.
-
-    The `value` argument is carried for symmetry with how results are
-    reported; the percentage is |stderr / reference| * 100.
-    """
-    if reference == 0.0:
-        raise ValueError("reference must be nonzero")
-    return abs(stderr / reference) * 100.0

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import ed
 from .contraction import contract
-from .estimators import DEFAULT_BINS, energy, percent_error
+from .estimators import DEFAULT_BINS, energy
 from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
@@ -262,7 +262,7 @@ def run(config: RunConfig) -> ResultRecord:
 
     energy_est = energy(merged, spec)
     pct = (
-        percent_error(energy_est.value, energy_est.stderr, e_ref)
+        abs(energy_est.stderr / e_ref) * 100.0
         if e_ref != 0.0 and math.isfinite(energy_est.stderr)
         else float("nan")
     )
@@ -363,7 +363,7 @@ def _git_revision() -> str:
             text=True,
             timeout=10,
         )
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     if out.returncode != 0:
         return "unknown"
@@ -373,13 +373,12 @@ def _git_revision() -> str:
 # ---------------------------------------------------------------------------
 # Randomized self-checks (also exposed as CLI verbs)
 
-def random_bond_term(rng: np.random.Generator, n_sites: int,
-                     mixed_signs: bool = True) -> BondTerm:
+def random_bond_term(rng: np.random.Generator, n_sites: int) -> BondTerm:
     """Random term with mixed shifts; shift lands exactly on 1 half the time."""
     flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
     shift = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 2.5))
     coupling = float(rng.uniform(0.25, 1.5))
-    sign = -1 if (not mixed_signs or rng.random() < 0.5) else 1
+    sign = -1 if rng.random() < 0.5 else 1
     return BondTerm(int(rng.integers(n_sites)), flavor, coupling, shift, sign)
 
 
@@ -500,8 +499,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     base = _build_run_config(args)
     grid = tuple(float(v) for v in args.grid.split(","))
     spec = CampaignSpec(axis=args.axis, grid=grid, base=base)
+    csv_path = Path(args.csv)
+    if not csv_path.parent.is_dir():
+        raise FileNotFoundError(f"CSV directory does not exist: {csv_path.parent}")
     rows = campaign(spec)
-    write_campaign_csv(rows, Path(args.csv), spec)
+    write_campaign_csv(rows, csv_path, spec)
     failures = sum(1 for row in rows if row["error"])
     print(f"wrote {len(rows)} rows to {args.csv} ({failures} failed points)")
     return 0
@@ -586,10 +588,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

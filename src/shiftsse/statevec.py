@@ -7,17 +7,17 @@ general branch a basis state into a superposition; the dense vector
 tracks this exactly. The sampler's `Configuration` turns strings into
 weights with these two pieces.
 
-Basis states are product states: plain Z eigenstates, or Z eigenstates
-rotated qubit-by-qubit through a single-qubit unitary (default T*H, a
-non-Clifford rotation). Index bit i is qubit i (little endian).
+Basis states are product states: plain Z eigenstates (a BasisChoice with
+no unitaries), or Z eigenstates rotated qubit-by-qubit through a
+single-qubit unitary (default T*H, a non-Clifford rotation). Index bit i
+is qubit i (little endian).
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from .model import BondTerm, PauliFlavor
 
 __all__ = [
-    "BasisKind",
     "BasisChoice",
     "BasisLabel",
     "StateVector",
@@ -35,11 +34,6 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-12
-
-
-class BasisKind(enum.Enum):
-    Z_PRODUCT = "z_product"
-    ROTATED = "rotated"
 
 
 def default_rotation() -> np.ndarray:
@@ -64,17 +58,17 @@ def _check_unitary(u: np.ndarray) -> None:
 class BasisChoice:
     """Product basis: Z eigenstates, optionally rotated per qubit.
 
-    For ROTATED, `unitaries` holds either a single 2x2 (same rotation on
-    every qubit) or one 2x2 per qubit. Stored as nested tuples so the
-    choice is hashable and prepared vectors can be cached.
+    Empty `unitaries` is the plain Z basis. Otherwise it holds either a
+    single 2x2 (same rotation on every qubit) or one 2x2 per qubit.
+    Stored as nested tuples so the choice is hashable and prepared
+    vectors can be cached.
     """
 
-    kind: BasisKind
-    unitaries: tuple = field(default=())
+    unitaries: tuple = ()
 
     @classmethod
     def z_product(cls) -> "BasisChoice":
-        return cls(BasisKind.Z_PRODUCT)
+        return cls()
 
     @classmethod
     def rotated(cls, unitaries=None) -> "BasisChoice":
@@ -86,11 +80,11 @@ class BasisChoice:
             us = us[None, :, :]
         for u in us:
             _check_unitary(u)
-        return cls(BasisKind.ROTATED, tuple(_as_tuple(u) for u in us))
+        return cls(tuple(_as_tuple(u) for u in us))
 
     def qubit_unitary(self, qubit: int, n_qubits: int) -> np.ndarray:
         """Rotation acting on one qubit (identity for the plain Z basis)."""
-        if self.kind is BasisKind.Z_PRODUCT:
+        if not self.unitaries:
             return np.eye(2, dtype=complex)
         if len(self.unitaries) == 1:
             return np.array(self.unitaries[0], dtype=complex)
@@ -125,7 +119,6 @@ class BasisLabel:
 class StateVector:
     """Dense amplitudes over 2^n basis states, bit i of the index = qubit i."""
 
-    n_qubits: int
     amps: np.ndarray
 
 
@@ -143,7 +136,7 @@ def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:
 
 def prepare(label: BasisLabel, basis: BasisChoice) -> StateVector:
     """Product state tensor_i U_i |bit_i>; a unit-norm vector."""
-    return StateVector(label.n_qubits, _prepared_amps(label.bits, basis))
+    return StateVector(_prepared_amps(label.bits, basis))
 
 
 @lru_cache(maxsize=None)

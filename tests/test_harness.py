@@ -1,10 +1,16 @@
 import dataclasses
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftsse
 from shiftsse import ed
 from shiftsse.harness import (
     RUN_OPTIONS,
@@ -135,6 +141,20 @@ class TestRun:
         with pytest.raises(ValueError, match="dense form limited to 12 sites"):
             run(RunConfig(n_sites=13, sweeps=400, chains=2, seed=1))
 
+    def test_pct_stderr_is_error_over_reference(self):
+        record = run(RunConfig(**FAST)).as_dict()
+        assert record["energy_ed"] != 0.0
+        expect = abs(record["energy_err"] / record["energy_ed"]) * 100.0
+        assert record["pct_stderr_vs_ed"] == expect
+
+    def test_nan_stderr_gives_nan_pct(self, monkeypatch):
+        honest = shiftsse.harness.energy
+
+        def nan_stderr(acc, spec):
+            return dataclasses.replace(honest(acc, spec), stderr=float("nan"))
+        monkeypatch.setattr("shiftsse.harness.energy", nan_stderr)
+        assert math.isnan(run(RunConfig(**FAST)).pct_stderr_vs_ed)
+
 
 class TestRecordSchema:
     def test_record_key_order_and_basis_label(self):
@@ -191,6 +211,16 @@ class TestCampaign:
         assert sidecar["axis"] == "m_joint"
         assert sidecar["base_config"]["seed"] == FAST["seed"]
         assert sidecar["rows"] == 2
+
+    def test_git_timeout_still_writes_sidecar(self, tmp_path, monkeypatch):
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+        spec = CampaignSpec(axis="m_joint", grid=(1.0,), base=RunConfig(**FAST))
+        rows = campaign(spec)
+        monkeypatch.setattr("subprocess.run", hang)
+        write_campaign_csv(rows, tmp_path / "a.csv", spec)
+        sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert sidecar["git_revision"] == "unknown"
 
 
 class TestConfigFile:
@@ -279,6 +309,34 @@ class TestCli:
         assert main(["run", "--sites", "3", "--sweeps", "400", "--chains", "2",
                      "--plan-alpha", "-2"]) == 2
         assert "error: plan_alpha must be at least 1, got -2" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.cfg" in err
+
+    def test_missing_csv_directory_fails_before_sampling(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled a campaign whose CSV cannot be written")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_work)
+        monkeypatch.setattr("shiftsse.harness.ed.thermal_energy", no_work)
+        csv_path = tmp_path / "no" / "such" / "x.csv"
+        assert main(["campaign", "--axis", "m_joint", "--grid", "0.5,1.0",
+                     "--csv", str(csv_path), "--sites", "2"]) == 2
+        assert "error: CSV directory does not exist" in capsys.readouterr().err
+        assert not csv_path.parent.exists()
+
+    def test_python_dash_m_runs_cli(self):
+        src = str(Path(shiftsse.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "shiftsse", "ed", "--sites", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("thermal_energy=")
 
     def test_ed_verb(self, capsys):
         code = main(["ed", "--sites", "2", "--delta", "1.0", "-T", "2.0",

@@ -37,6 +37,10 @@ class TestPrepare:
         st = prepare(BasisLabel((1, 0)), BasisChoice.z_product())
         np.testing.assert_allclose(st.amps, [0, 1, 0, 0], atol=0)
 
+    def test_no_unitaries_is_z_basis(self):
+        assert BasisChoice.z_product() == BasisChoice()
+        np.testing.assert_array_equal(BasisChoice().qubit_unitary(1, 3), np.eye(2))
+
     def test_default_rotation_amplitudes(self):
         # T*H |0> = (|0> + e^{i pi/4}|1>)/sqrt(2)
         st = prepare(BasisLabel((0,)), BasisChoice.rotated())
