@@ -10,7 +10,7 @@ from .contraction import ContractedString, commute_adjacent, contract, merge_sam
 from .ed import spectrum, thermal_energy
 from .estimators import Estimate, EnergyEstimate, RunAccumulators, average_sign, energy
 from .harness import CampaignSpec, ResultRecord, RunConfig, campaign, run
-from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, build_terms, dense_hamiltonian
+from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, dense_hamiltonian
 from .oracle import ancilla_weight, brute_force_partition
 from .sampler import (
     Configuration,

@@ -36,7 +36,7 @@ import numpy as np
 from . import ed
 from .contraction import contract
 from .estimators import DEFAULT_BINS, energy
-from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
+from .model import DENSE_SITE_LIMIT, BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
 from .statevec import BasisChoice, BasisLabel, default_rotation
@@ -123,8 +123,8 @@ class RunConfig:
     n_bins: int = DEFAULT_BINS
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.chains < 1:
             raise ValueError(f"need at least one chain, got {self.chains}")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -252,7 +252,7 @@ def run(config: RunConfig) -> ResultRecord:
     e_ref = ed.thermal_energy(spec)
     jobs = [(config, k) for k in range(config.chains)]
     if config.workers > 1 and config.chains > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.chains)) as pool:
             accs = list(pool.map(_chain_worker, jobs))
     else:
         accs = [_chain_worker(job) for job in jobs]
@@ -392,6 +392,12 @@ def _dense_product(string: list[BondTerm], n_sites: int) -> np.ndarray:
 def random_contraction_check(count: int, seed: int, max_sites: int = 4,
                              max_len: int = 8) -> float:
     """Max relative deviation of prefactor*contracted vs original products."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
+    if not 2 <= max_sites <= DENSE_SITE_LIMIT:
+        raise ValueError(f"max_sites must lie in [2, {DENSE_SITE_LIMIT}], got {max_sites}")
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(count):
@@ -424,6 +430,8 @@ def _random_basis(rng: np.random.Generator, n_sites: int) -> BasisChoice:
 def random_weight_equivalence_check(count: int, seed: int,
                                     qubit_budget: int = 12) -> float:
     """Max relative deviation between configuration and ancilla-register weights."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(count):
@@ -486,11 +494,20 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _output_path(text: str, what: str) -> Path:
+    """An output path whose directory exists, checked before any sampling."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{what} directory does not exist: {path.parent}")
+    return path
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    record = run(_build_run_config(args))
-    payload = json.dumps(record.as_dict(), indent=2)
-    if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+    config = _build_run_config(args)
+    output = _output_path(args.output, "output") if args.output else None
+    payload = json.dumps(run(config).as_dict(), indent=2)
+    if output:
+        output.write_text(payload + "\n", encoding="utf-8")
     print(payload)
     return 0
 
@@ -499,9 +516,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     base = _build_run_config(args)
     grid = tuple(float(v) for v in args.grid.split(","))
     spec = CampaignSpec(axis=args.axis, grid=grid, base=base)
-    csv_path = Path(args.csv)
-    if not csv_path.parent.is_dir():
-        raise FileNotFoundError(f"CSV directory does not exist: {csv_path.parent}")
+    csv_path = _output_path(args.csv, "CSV")
     rows = campaign(spec)
     write_campaign_csv(rows, csv_path, spec)
     failures = sum(1 for row in rows if row["error"])

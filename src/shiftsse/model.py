@@ -10,14 +10,15 @@ bond interaction is rewritten as a shifted non-negative-leaning factor
     H = - sum_i (m_z - Z_i Z_{i+1}) - delta * sum_i (m_x - X_i X_{i+1})
         + (m_z + delta * m_x) * N,
 
-so the simulator works with 2N bond terms of the form
+so the simulator works with up to 2N bond terms of the form
 
     coupling * (shift * I + sign * O_b),   sign = -1 for this model,
 
 where O_b is Z_i Z_{i+1} (coupling 1, shift m_z) or X_i X_{i+1}
 (coupling delta, shift m_x). The trailing constant (m_z + delta*m_x)*N is
 the energy offset that must be added back to series-expansion energy
-estimates.
+estimates. At delta = 0 the XX terms vanish, and `active_terms` builds
+only the N ZZ terms: no zero-coupling term is ever built.
 
 Conventions: basis index bit i is site i (little endian); Z|0> = +|0>.
 At N=2 the periodic sum visits the single bond twice, so two ZZ and two
@@ -28,7 +29,9 @@ XX terms act on the same pair; both are kept to preserve the uniform
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +39,6 @@ __all__ = [
     "PauliFlavor",
     "BondTerm",
     "ModelSpec",
-    "build_terms",
     "active_terms",
     "dense_hamiltonian",
     "term_matrix",
@@ -97,6 +99,9 @@ class ModelSpec:
     beta: float
 
     def __post_init__(self):
+        for name in ("delta", "m_x", "m_z", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         if not 0.0 <= self.delta <= 1.0:
@@ -112,28 +117,19 @@ class ModelSpec:
         return (self.m_z + self.delta * self.m_x) * self.n_sites
 
 
-def build_terms(spec: ModelSpec) -> list[BondTerm]:
-    """Decompose the chain into its 2N shifted bond terms.
+@lru_cache(maxsize=None)
+def active_terms(spec: ModelSpec) -> tuple[BondTerm, ...]:
+    """The sampler's proposal set, the bond terms with nonzero coupling.
 
-    Returns N ZZ terms (coupling 1, shift m_z) followed by N XX terms
-    (coupling delta, shift m_x), all with sign -1. At delta = 0 the XX
-    terms are emitted with coupling 0; they contribute nothing and must
-    not appear in any proposal set (see active_terms).
+    N ZZ terms (coupling 1, shift m_z), then N XX terms (coupling delta,
+    shift m_x) unless delta = 0, all with sign -1. No zero-coupling term
+    is built.
     """
-    zz = [
-        BondTerm(i, PauliFlavor.ZZ, 1.0, spec.m_z, -1)
-        for i in range(spec.n_sites)
-    ]
-    xx = [
-        BondTerm(i, PauliFlavor.XX, spec.delta, spec.m_x, -1)
-        for i in range(spec.n_sites)
-    ]
-    return zz + xx
-
-
-def active_terms(spec: ModelSpec) -> list[BondTerm]:
-    """Bond terms with nonzero coupling, the sampler's proposal set."""
-    return [t for t in build_terms(spec) if t.coupling > 0.0]
+    zz = tuple(BondTerm(i, PauliFlavor.ZZ, 1.0, spec.m_z, -1) for i in range(spec.n_sites))
+    if spec.delta == 0.0:
+        return zz
+    return zz + tuple(BondTerm(i, PauliFlavor.XX, spec.delta, spec.m_x, -1)
+                      for i in range(spec.n_sites))
 
 
 _Z = np.diag([1.0, -1.0])

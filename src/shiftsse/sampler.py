@@ -33,9 +33,10 @@ technique (Sandvik, PRB 59, R14157 (1999)). A configuration holds the
 left states L_k = H_k ... H_1 |alpha> and the right states
 R_k = H_{k+1} ... H_n |alpha>; every bond factor is real symmetric, so
 <alpha| H_n ... H_{k+1} = R_k^dagger and W is proportional to
-Re <R_k|L_k> at any split k. A replacement at position p then costs one
-bond application and one inner product, <R_{p+1}|H'|L_p>, an insertion
-at slot s likewise <R_s|H_t|L_s>, and a removal at p only <R_{p+1}|L_p>.
+Re <R_k|L_k> at any split k. Every string move is one splice: cut k
+operators at position p and put in at most one term t, for one bond
+application and one inner product, <R_{p+k}|H_t|L_p>. A replacement is
+k = 1 with a term, an insertion k = 0 and a removal k = 1 without one.
 Both lists are extended lazily. A label flip propagates fresh states
 for the proposed label. The proposal methods return the proposed
 weight, and `accept` applies the last proposal with its weight, keeping
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,10 +93,10 @@ class Configuration:
     when a move changes the length in front of them. `_kernels` holds the
     bond kernel of each string operator, so propagation looks none up.
 
-    Every field is read-only. `relabel`, `replace`, `insert` and `remove`
-    return the signed weight of a proposed configuration and remember the
-    move; `accept` applies the last one together with its weight. The
-    string is never mutated in place: an accepted move builds a new list.
+    Every field is read-only. `relabel` and `splice` return the signed
+    weight of a proposed configuration and remember the move; `accept`
+    applies the last one together with its weight. The string is never
+    mutated in place: an accepted move builds a new list.
     """
 
     __slots__ = ("_alpha", "_string", "_model", "_basis", "_weight",
@@ -176,27 +176,18 @@ class Configuration:
         self._move = (Configuration._adopt, (alpha, left), weight)
         return weight
 
-    def replace(self, pos: int, term) -> float:
-        """W with the operator at `pos` replaced: <R_{p+1}|H'|L_p>."""
-        kernel = bond_kernel(term, self._model.n_sites)
-        ket = kernel(self._left_at(pos))
-        weight = self._weight_at(len(self._string), self._right_at(pos + 1), ket)
-        self._move = (Configuration._splice, (pos, 1, [term], [kernel], ket), weight)
-        return weight
-
-    def insert(self, slot: int, term) -> float:
-        """W with `term` inserted before position `slot`: <R_s|H_t|L_s>."""
-        kernel = bond_kernel(term, self._model.n_sites)
-        ket = kernel(self._left_at(slot))
-        weight = self._weight_at(len(self._string) + 1, self._right_at(slot), ket)
-        self._move = (Configuration._splice, (slot, 0, [term], [kernel], ket), weight)
-        return weight
-
-    def remove(self, pos: int) -> float:
-        """W with the operator at `pos` removed: <R_{p+1}|L_p>."""
-        weight = self._weight_at(len(self._string) - 1, self._right_at(pos + 1),
-                                 self._left_at(pos))
-        self._move = (Configuration._splice, (pos, 1, [], [], None), weight)
+    def splice(self, pos: int, cut: int, term=None) -> float:
+        """W with the `cut` operators at `pos` replaced by `term`, or by
+        nothing when `term` is None: <R_{pos+cut}|H_term|L_pos>."""
+        ket = self._left_at(pos)
+        terms, kernels = [], []
+        if term is not None:
+            kernel = bond_kernel(term, self._model.n_sites)
+            ket = kernel(ket)
+            terms, kernels = [term], [kernel]
+        n = len(self._string) - cut + len(terms)
+        weight = self._weight_at(n, self._right_at(pos + cut), ket)
+        self._move = (Configuration._splice, (pos, cut, terms, kernels, ket), weight)
         return weight
 
     def accept(self) -> None:
@@ -215,11 +206,12 @@ class Configuration:
         """Replace the `cut` operators at `pos` by `terms`.
 
         Left states up to `pos` and right states behind the cut stay
-        valid, and so does the proposal's left state past `pos`.
+        valid, and so does the proposal's left state past `pos` when a
+        term went in.
         """
         n = len(self._string)
         del self._left[pos + 1:]
-        if ket is not None:
+        if terms:
             self._left.append(ket)
         del self._right[n - pos - cut + 1:]
         self._string = self._string[:pos] + terms + self._string[pos + cut:]
@@ -263,11 +255,6 @@ class SweepSample:
     order: int
 
 
-@lru_cache(maxsize=None)
-def _active(model: ModelSpec) -> tuple:
-    return tuple(active_terms(model))
-
-
 def weight_of(alpha: BasisLabel, string: list, model: ModelSpec,
               basis: BasisChoice) -> float:
     """Signed weight of an arbitrary (alpha, string) pair, from scratch."""
@@ -285,7 +272,7 @@ def acceptance(w_old: float, w_new: float, up: int = 1, down: int = 1) -> float:
     return min(1.0, up * abs(w_new) / (down * abs(w_old)))
 
 
-def update_alpha(config: Configuration, rng: np.random.Generator) -> Configuration:
+def update_alpha(config: Configuration, rng: np.random.Generator) -> None:
     """Flip one uniformly chosen label bit, Metropolis on |W|.
 
     The attempt is lazy: with probability 1/2 it proposes nothing. On
@@ -296,15 +283,14 @@ def update_alpha(config: Configuration, rng: np.random.Generator) -> Configurati
     balance.
     """
     if rng.random() < 0.5:
-        return config
+        return
     qubit = int(rng.integers(config.model.n_sites))
     w_new = config.relabel(config.alpha.flip(qubit))
     if rng.random() < acceptance(config.weight_value, w_new):
         config.accept()
-    return config
 
 
-def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> Configuration:
+def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> None:
     """Replace the term at a uniform position with a uniform active term.
 
     Silently skipped at order 0. Self-replacements are ratio-1 moves and
@@ -312,37 +298,35 @@ def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> Co
     """
     n = config.order
     if n == 0:
-        return config
-    terms = _active(config.model)
+        return
+    terms = active_terms(config.model)
     pos = int(rng.integers(n))
     candidate = terms[int(rng.integers(len(terms)))]
     if candidate == config.string[pos]:
-        return config
-    w_new = config.replace(pos, candidate)
+        return
+    w_new = config.splice(pos, 1, candidate)
     if rng.random() < acceptance(config.weight_value, w_new):
         config.accept()
-    return config
 
 
-def update_insert_remove(config: Configuration, rng: np.random.Generator) -> Configuration:
+def update_insert_remove(config: Configuration, rng: np.random.Generator) -> None:
     """Grow or shrink the string by one operator (n -> n +- 1)."""
-    terms = _active(config.model)
+    terms = active_terms(config.model)
     n_active = len(terms)
     n = config.order
     if rng.random() < 0.5:
         slot = int(rng.integers(n + 1))
         term = terms[int(rng.integers(n_active))]
-        w_new = config.insert(slot, term)
+        w_new = config.splice(slot, 0, term)
         accept = acceptance(config.weight_value, w_new, up=n_active)
     else:
         if n == 0:
-            return config
+            return
         pos = int(rng.integers(n))
-        w_new = config.remove(pos)
+        w_new = config.splice(pos, 1)
         accept = acceptance(config.weight_value, w_new, down=n_active)
     if rng.random() < accept:
         config.accept()
-    return config
 
 
 def sweep(config: Configuration, plan: SweepPlan,

@@ -130,6 +130,27 @@ class TestRun:
         parallel = run(RunConfig(**FAST, workers=2))
         assert serial.as_dict() == parallel.as_dict()
 
+    def test_workers_capped_at_chain_count(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("shiftsse.harness.ProcessPoolExecutor", SerialPool)
+        record = run(RunConfig(**FAST, workers=8))
+        assert asked == [FAST["chains"]]
+        assert record.as_dict() == run(RunConfig(**FAST)).as_dict()
+
     def test_insufficient_samples_per_bin(self):
         with pytest.raises(ValueError):
             run(RunConfig(n_sites=2, sweeps=30, chains=2, seed=1))
@@ -310,6 +331,34 @@ class TestCli:
                      "--plan-alpha", "-2"]) == 2
         assert "error: plan_alpha must be at least 1, got -2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mx", "nan"], "m_x must be finite, got nan"),
+        (["--mz", "inf"], "m_z must be finite, got inf"),
+        (["-T", "nan"], "temperature must be positive and finite, got nan"),
+        (["-T", "inf"], "temperature must be positive and finite, got inf"),
+    ], ids=["mx-nan", "mz-inf", "T-nan", "T-inf"])
+    def test_non_finite_model_fails_before_sampling(self, monkeypatch, capsys,
+                                                    flags, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a point with a non-finite parameter")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_work)
+        monkeypatch.setattr("shiftsse.harness.ed.thermal_energy", no_work)
+        assert main(["run", "--sites", "2", "--sweeps", "400", "--chains", "2",
+                     *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_missing_output_directory_fails_before_sampling(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled a run whose record cannot be written")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_work)
+        monkeypatch.setattr("shiftsse.harness.ed.thermal_energy", no_work)
+        out_path = tmp_path / "no" / "such" / "x.json"
+        assert main(["run", "--sites", "2", "--sweeps", "1000", "--chains", "2",
+                     "--output", str(out_path)]) == 2
+        assert "error: output directory does not exist" in capsys.readouterr().err
+        assert not out_path.parent.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
         err = capsys.readouterr().err
@@ -356,6 +405,30 @@ class TestCli:
     def test_ed_verb_rejects_zero_temperature(self, capsys):
         assert main(["ed", "--sites", "3", "-T", "0"]) == 2
         assert "error: temperature must be positive" in capsys.readouterr().err
+
+    def test_ed_verb_rejects_non_finite_shift(self, capsys):
+        assert main(["ed", "--sites", "2", "--mz", "inf"]) == 2
+        assert "error: m_z must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["contract-check", "--count", "-5"], "count must be at least 1, got -5"),
+        (["contract-check", "--count", "0"], "count must be at least 1, got 0"),
+        (["contract-check", "--max-len", "-1"], "max_len must be at least 0, got -1"),
+        (["contract-check", "--max-sites", "1"], "max_sites must lie in [2, 12], got 1"),
+        (["contract-check", "--max-sites", "13"], "max_sites must lie in [2, 12], got 13"),
+        (["oracle-check", "--count", "0"], "count must be at least 1, got 0"),
+        (["oracle-check", "--count", "-5"], "count must be at least 1, got -5"),
+    ], ids=["contract-count-neg", "contract-count-0", "contract-len-neg",
+            "contract-sites-1", "contract-sites-13", "oracle-count-0", "oracle-count-neg"])
+    def test_self_checks_reject_empty_or_oversized_ranges(self, monkeypatch, capsys,
+                                                          argv, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a sample for an invalid check")
+        monkeypatch.setattr("shiftsse.harness.rng_stream", no_draw)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "PASS" not in captured.out
 
     def test_contract_check_verb(self, capsys):
         assert main(["contract-check", "--count", "40", "--seed", "2"]) == 0

@@ -6,7 +6,6 @@ from shiftsse.model import (
     ModelSpec,
     PauliFlavor,
     active_terms,
-    build_terms,
     dense_hamiltonian,
     term_matrix,
 )
@@ -19,9 +18,15 @@ def spec(n=3, delta=1.0, m_x=1.0, m_z=1.0, beta=0.5):
 
 
 class TestBuildTerms:
+    """The bond terms `active_terms` builds, and model validation."""
+
     def test_counts_and_parameters(self):
-        terms = build_terms(spec(n=3, delta=1.0))
+        terms = active_terms(spec(n=3, delta=1.0))
         assert len(terms) == 6
+        # one cached proposal set per model, ZZ bonds first
+        assert active_terms(spec(n=3, delta=1.0)) is terms
+        assert [(t.site, t.flavor) for t in terms] == (
+            [(i, PauliFlavor.ZZ) for i in range(3)] + [(i, PauliFlavor.XX) for i in range(3)])
         zz = [t for t in terms if t.flavor is PauliFlavor.ZZ]
         xx = [t for t in terms if t.flavor is PauliFlavor.XX]
         assert len(zz) == len(xx) == 3
@@ -31,8 +36,6 @@ class TestBuildTerms:
 
     def test_delta_zero_deactivates_xx(self):
         sp = spec(n=3, delta=0.0)
-        terms = build_terms(sp)
-        assert len(terms) == 6
         act = active_terms(sp)
         assert len(act) == 3
         assert all(t.flavor is PauliFlavor.ZZ for t in act)
@@ -44,7 +47,7 @@ class TestBuildTerms:
 
     def test_offset_equals_term_sum(self):
         for sp in (spec(), spec(n=4, delta=0.3, m_x=1.7, m_z=0.6), spec(n=2, delta=0.0)):
-            total = sum(t.shift * t.coupling for t in build_terms(sp))
+            total = sum(t.shift * t.coupling for t in active_terms(sp))
             assert total == pytest.approx(sp.energy_offset, abs=1e-12)
 
     def test_rejects_bad_parameters(self):
@@ -60,6 +63,10 @@ class TestBuildTerms:
             spec(m_z=-1.0)
         with pytest.raises(ValueError):
             spec(beta=0.0)
+        for name in ("delta", "m_x", "m_z", "beta"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    spec(**{name: value})
 
     def test_bond_term_validation(self):
         with pytest.raises(ValueError):
@@ -134,7 +141,7 @@ class TestDenseHamiltonian:
                    spec(n=4, delta=1.0, m_x=2.0, m_z=0.5)):
             dim = 2 ** sp.n_sites
             total = dense_hamiltonian(sp).astype(complex)
-            for t in build_terms(sp):
+            for t in active_terms(sp):
                 total += dense_term(t, sp.n_sites)
             np.testing.assert_allclose(total, sp.energy_offset * np.eye(dim),
                                        atol=1e-12)

@@ -96,26 +96,23 @@ def test_edge_slot_proposals_and_accepts(basis_name):
     assert config.order >= 3
 
     def proposals(n):
-        yield "insert", 0, terms[0]
-        yield "insert", n, terms[-1]
-        yield "remove", 0, None
-        yield "remove", n - 1, None
-        yield "replace", 0, terms[3]
-        yield "replace", n - 1, terms[-2]
+        # (pos, cut, term): insertions, removals and replacements at both
+        # ends, then two operators cut with and without a term put in
+        yield 0, 0, terms[0]
+        yield n, 0, terms[-1]
+        yield 0, 1, None
+        yield n - 1, 1, None
+        yield 0, 1, terms[3]
+        yield n - 1, 1, terms[-2]
+        yield 1, 2, terms[1]
+        yield 0, 2, None
 
-    for move, where, term in list(proposals(config.order)):
+    for pos, cut, term in list(proposals(config.order)):
         alpha, string = config.alpha, config.string
         # touch an interior split first so the lists are partly extended
-        config.remove(len(string) // 2)
-        if move == "insert":
-            got = config.insert(where, term)
-            proposed = string[:where] + [term] + string[where:]
-        elif move == "remove":
-            got = config.remove(where)
-            proposed = string[:where] + string[where + 1:]
-        else:
-            got = config.replace(where, term)
-            proposed = string[:where] + [term] + string[where + 1:]
+        config.splice(len(string) // 2, 1)
+        got = config.splice(pos, cut, term)
+        proposed = string[:pos] + ([] if term is None else [term]) + string[pos + cut:]
         assert_weight(got, alpha, proposed, model, basis)
         config.accept()
         assert config.string == proposed
@@ -123,12 +120,12 @@ def test_edge_slot_proposals_and_accepts(basis_name):
         # every split of the accepted configuration must still be exact
         n = config.order
         for slot in range(n + 1):
-            assert_weight(config.insert(slot, terms[slot % len(terms)]), alpha,
+            assert_weight(config.splice(slot, 0, terms[slot % len(terms)]), alpha,
                           config.string[:slot] + [terms[slot % len(terms)]]
                           + config.string[slot:], model, basis)
-        for pos in range(n):
-            assert_weight(config.remove(pos), alpha,
-                          config.string[:pos] + config.string[pos + 1:], model, basis)
+        for at in range(n):
+            assert_weight(config.splice(at, 1), alpha,
+                          config.string[:at] + config.string[at + 1:], model, basis)
         assert_weight(config.relabel(alpha), alpha, config.string, model, basis)
 
 
@@ -148,11 +145,11 @@ def test_accepted_label_flip_then_string_moves(basis_name):
     terms = active_terms(model)
     n = config.order
     for pos in (0, n - 1):
-        assert_weight(config.replace(pos, terms[1]), config.alpha,
+        assert_weight(config.splice(pos, 1, terms[1]), config.alpha,
                       config.string[:pos] + [terms[1]] + config.string[pos + 1:],
                       model, basis)
     for slot in (0, n):
-        assert_weight(config.insert(slot, terms[2]), config.alpha,
+        assert_weight(config.splice(slot, 0, terms[2]), config.alpha,
                       config.string[:slot] + [terms[2]] + config.string[slot:],
                       model, basis)
     drive(config, rng, sweeps=3)
@@ -187,6 +184,6 @@ def test_order_zero_weighs_exactly_one():
         empty.accept()
         assert empty.weight_value == 1.0
         single = Configuration(alpha, [term], model, basis)
-        assert single.remove(0) == 1.0
+        assert single.splice(0, 1) == 1.0
         single.accept()
         assert single.weight_value == 1.0

@@ -1,0 +1,61 @@
+"""Seeded chain outputs pinned across commits.
+
+Other tests compare two runs on one commit; these pin the numbers
+themselves, so a refactor that moves a float operation or an rng draw
+fails here. The average sign, the final order and the final label are
+compared exactly; the error bars and jackknife ratios at rel 1e-12, so a
+different BLAS summation order does not trip the test. A change that
+alters the chain on purpose updates these values and says so.
+"""
+
+import pytest
+
+from shiftsse.estimators import energy
+from shiftsse.harness import RunConfig, run
+from shiftsse.model import ModelSpec
+from shiftsse.sampler import SweepPlan, rng_stream, run_chain
+from shiftsse.statevec import BasisChoice
+
+RTOL = 1e-12
+
+RUN_PINS = {
+    "rotated": {
+        "avg_sign": 0.9144444444444444,
+        "avg_sign_err": 0.015232655322501693,
+        "energy": -1.334143377885784,
+        "energy_err": 0.25903555522058275,
+        "avg_order": 3.667071688942892,
+        "avg_order_err": 0.12951777761029137,
+    },
+    "z": {
+        "avg_sign": 0.9422222222222222,
+        "avg_sign_err": 0.019639373799815077,
+        "energy": -1.8962264150943398,
+        "energy_err": 0.25029533956602246,
+        "avg_order": 3.94811320754717,
+        "avg_order_err": 0.12514766978301123,
+    },
+}
+
+
+@pytest.mark.parametrize("basis", sorted(RUN_PINS))
+def test_run_record_is_pinned(basis):
+    record = run(RunConfig(n_sites=3, sweeps=2000, chains=2, seed=4, basis=basis)).as_dict()
+    pins = RUN_PINS[basis]
+    assert record["avg_sign"] == pins["avg_sign"]
+    for name, value in pins.items():
+        assert record[name] == pytest.approx(value, rel=RTOL), name
+
+
+def test_long_chain_is_pinned():
+    # the benchmark's N = 7 chain workload at seed 3 (master seed 3000)
+    model = ModelSpec(n_sites=7, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
+    acc, config = run_chain(model, BasisChoice.z_product(), SweepPlan.default(7),
+                            rng_stream(3000), sweeps=400, warmup_sweeps=40)
+    est = energy(acc, model)
+    assert est.sign_value == 0.95
+    assert est.value == pytest.approx(-8.760233918128655, rel=RTOL)
+    assert est.stderr == pytest.approx(0.8092976855643548, rel=RTOL)
+    assert est.order_value == pytest.approx(22.760233918128655, rel=RTOL)
+    assert config.order == 29
+    assert config.alpha.bits == (1, 0, 1, 0, 0, 1, 1)
