@@ -23,6 +23,6 @@ from .sampler import (
     update_string_fixed_n,
     weight_of,
 )
-from .statevec import BasisChoice, BasisLabel, StateVector, prepare
+from .statevec import BasisChoice, StateVector, prepare
 
 __version__ = "0.1.0"

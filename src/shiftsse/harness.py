@@ -39,7 +39,7 @@ from .estimators import DEFAULT_BINS, energy
 from .model import DENSE_SITE_LIMIT, BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
-from .statevec import BasisChoice, BasisLabel, default_rotation
+from .statevec import BasisChoice, default_rotation
 
 __all__ = [
     "RunConfig",
@@ -137,6 +137,8 @@ class RunConfig:
             raise ValueError("fewer sweeps than chains")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("plan_alpha", "plan_string", "plan_insert"):
             count = getattr(self, name)
             if count is not None and count < 1:
@@ -294,6 +296,9 @@ class CampaignSpec:
             raise ValueError(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if len(self.grid) == 0:
             raise ValueError("grid must be non-empty")
+        for value in self.grid:
+            if not math.isfinite(value):
+                raise ValueError(f"grid values must be finite, got {value}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
 
@@ -447,7 +452,7 @@ def random_weight_equivalence_check(count: int, seed: int,
         terms = active_terms(spec)
         length = int(rng.integers(0, qubit_budget - n_sites + 1))
         string = [terms[int(rng.integers(len(terms)))] for _ in range(length)]
-        alpha = BasisLabel(tuple(int(b) for b in rng.integers(0, 2, size=n_sites)))
+        alpha = tuple(int(b) for b in rng.integers(0, 2, size=n_sites))
         basis = _random_basis(rng, n_sites)
         config = Configuration(alpha, string, spec, basis)
         direct = config.weight_value

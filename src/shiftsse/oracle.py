@@ -76,7 +76,7 @@ def ancilla_weight(config, model: ModelSpec, basis: BasisChoice) -> float:
             f"register needs {total} qubits, limit is {ANCILLA_QUBIT_LIMIT}"
         )
     vectors = [
-        basis.qubit_unitary(q, n_sys)[:, config.alpha.bits[q]]
+        basis.qubit_unitary(q, n_sys)[:, config.alpha[q]]
         for q in range(n_sys)
     ]
     for term in string:

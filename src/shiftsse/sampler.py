@@ -1,5 +1,8 @@
 """Markov chain over (order, operator string, basis label) configurations.
 
+The basis label alpha is the tuple of N bits, 0 or 1, with bit i for
+qubit i of the Z product state that the basis rotates.
+
 A configuration C = (n, [b_1..b_n], alpha) carries the signed weight
 
     W(C) = beta^n / n! * Re <alpha| H_{b_n} ... H_{b_1} |alpha>,
@@ -56,7 +59,7 @@ import numpy as np
 
 from .estimators import DEFAULT_BINS, RunAccumulators
 from .model import ModelSpec, active_terms
-from .statevec import BasisChoice, BasisLabel, bond_kernel, prepare
+from .statevec import BasisChoice, bond_kernel, prepare
 
 __all__ = [
     "Configuration",
@@ -80,6 +83,8 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     SeedSequence spawn keys, so identical (seed, stream) reproduce
     identical chains bit for bit.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
@@ -102,7 +107,7 @@ class Configuration:
     __slots__ = ("_alpha", "_string", "_model", "_basis", "_weight",
                  "_kernels", "_left", "_right", "_move")
 
-    def __init__(self, alpha: BasisLabel, string, model: ModelSpec, basis: BasisChoice):
+    def __init__(self, alpha: tuple[int, ...], string, model: ModelSpec, basis: BasisChoice):
         self._model = model
         self._basis = basis
         self._string = list(string)
@@ -116,11 +121,11 @@ class Configuration:
     def initial(cls, model: ModelSpec, basis: BasisChoice,
                 rng: np.random.Generator) -> "Configuration":
         """Empty-string start; W = 1 for every label, so any alpha is valid."""
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=model.n_sites))
-        return cls(BasisLabel(bits), [], model, basis)
+        alpha = tuple(int(b) for b in rng.integers(0, 2, size=model.n_sites))
+        return cls(alpha, [], model, basis)
 
     @property
-    def alpha(self) -> BasisLabel:
+    def alpha(self) -> tuple[int, ...]:
         return self._alpha
 
     @property
@@ -167,7 +172,7 @@ class Configuration:
         poisson = math.exp(n * math.log(self._model.beta) - math.lgamma(n + 1))
         return poisson * float(np.vdot(bra, ket).real)
 
-    def relabel(self, alpha: BasisLabel) -> float:
+    def relabel(self, alpha: tuple[int, ...]) -> float:
         """W with the label replaced by `alpha`: <alpha|L_n>, propagated afresh."""
         left = [prepare(alpha, self._basis).amps]
         for kernel in self._kernels:
@@ -196,7 +201,7 @@ class Configuration:
         self._move = None
         apply(self, *args)
 
-    def _adopt(self, alpha: BasisLabel, left: list) -> None:
+    def _adopt(self, alpha: tuple[int, ...], left: list) -> None:
         """Take a label with its left states; the right states restart at |alpha>."""
         self._alpha = alpha
         self._left = left
@@ -255,7 +260,7 @@ class SweepSample:
     order: int
 
 
-def weight_of(alpha: BasisLabel, string: list, model: ModelSpec,
+def weight_of(alpha: tuple[int, ...], string: list, model: ModelSpec,
               basis: BasisChoice) -> float:
     """Signed weight of an arbitrary (alpha, string) pair, from scratch."""
     return Configuration(alpha, string, model, basis).weight_value
@@ -284,8 +289,9 @@ def update_alpha(config: Configuration, rng: np.random.Generator) -> None:
     """
     if rng.random() < 0.5:
         return
-    qubit = int(rng.integers(config.model.n_sites))
-    w_new = config.relabel(config.alpha.flip(qubit))
+    q = int(rng.integers(config.model.n_sites))
+    alpha = config.alpha
+    w_new = config.relabel(alpha[:q] + (alpha[q] ^ 1,) + alpha[q + 1:])
     if rng.random() < acceptance(config.weight_value, w_new):
         config.accept()
 

@@ -9,8 +9,9 @@ weights with these two pieces.
 
 Basis states are product states: plain Z eigenstates (a BasisChoice with
 no unitaries), or Z eigenstates rotated qubit-by-qubit through a
-single-qubit unitary (default T*H, a non-Clifford rotation). Index bit i
-is qubit i (little endian).
+single-qubit unitary (default T*H, a non-Clifford rotation). A basis
+label is the tuple of N bits, 0 or 1, with bit i for qubit i; index bit i
+of a dense vector is qubit i (little endian).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .model import BondTerm, PauliFlavor
 
 __all__ = [
     "BasisChoice",
-    "BasisLabel",
     "StateVector",
     "default_rotation",
     "prepare",
@@ -95,26 +95,6 @@ class BasisChoice:
         return np.array(self.unitaries[qubit], dtype=complex)
 
 
-@dataclass(frozen=True, slots=True)
-class BasisLabel:
-    """N-bit pattern of the underlying Z-eigenstate product."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0/1, got {self.bits}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.bits)
-
-    def flip(self, qubit: int) -> "BasisLabel":
-        bits = list(self.bits)
-        bits[qubit] ^= 1
-        return BasisLabel(tuple(bits))
-
-
 @dataclass(slots=True)
 class StateVector:
     """Dense amplitudes over 2^n basis states, bit i of the index = qubit i."""
@@ -134,9 +114,9 @@ def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:
     return amps
 
 
-def prepare(label: BasisLabel, basis: BasisChoice) -> StateVector:
+def prepare(bits: tuple[int, ...], basis: BasisChoice) -> StateVector:
     """Product state tensor_i U_i |bit_i>; a unit-norm vector."""
-    return StateVector(_prepared_amps(label.bits, basis))
+    return StateVector(_prepared_amps(bits, basis))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,6 @@ import itertools
 
 from shiftsse.model import active_terms
 from shiftsse.sampler import acceptance, weight_of
-from shiftsse.statevec import BasisLabel
 
 
 def _normalized(states):
@@ -33,7 +32,7 @@ def alpha_stationarity_residual(model, basis, string):
     """Label-flip updates at a fixed operator string."""
     states = {}
     for bits in itertools.product((0, 1), repeat=model.n_sites):
-        w = weight_of(BasisLabel(bits), string, model, basis)
+        w = weight_of(bits, string, model, basis)
         if w != 0.0:
             states[bits] = w
     pi = _normalized(states)
@@ -58,10 +57,9 @@ def string_stationarity_residual(model, basis, bits, n):
     """Fixed-length term replacements at a fixed label."""
     terms = active_terms(model)
     n_active = len(terms)
-    alpha = BasisLabel(bits)
     states = {}
     for ids in itertools.product(range(n_active), repeat=n):
-        w = weight_of(alpha, [terms[i] for i in ids], model, basis)
+        w = weight_of(bits, [terms[i] for i in ids], model, basis)
         if w != 0.0:
             states[ids] = w
     pi = _normalized(states)
@@ -96,8 +94,7 @@ def insert_remove_stationarity_residual(model, basis, n_cap):
     for bits in itertools.product((0, 1), repeat=model.n_sites):
         for n in range(n_cap + 1):
             for ids in itertools.product(range(n_active), repeat=n):
-                w = weight_of(BasisLabel(bits), [terms[i] for i in ids],
-                              model, basis)
+                w = weight_of(bits, [terms[i] for i in ids], model, basis)
                 if w != 0.0:
                     states[(bits, ids)] = w
     pi = _normalized(states)

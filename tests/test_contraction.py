@@ -11,7 +11,7 @@ from shiftsse.contraction import (
 )
 from shiftsse.model import BondTerm, ModelSpec, PauliFlavor
 from shiftsse.sampler import Configuration
-from shiftsse.statevec import BasisChoice, BasisLabel
+from shiftsse.statevec import BasisChoice
 
 from conftest import dense_string_product, dense_term, random_term
 
@@ -193,7 +193,7 @@ class TestContract:
             for _ in range(25):
                 n = int(rng.integers(2, 5))
                 model = ModelSpec(n_sites=n, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
-                label = BasisLabel(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+                label = tuple(int(b) for b in rng.integers(0, 2, size=n))
                 string = [random_term(rng, n) for _ in range(int(rng.integers(0, 7)))]
                 reduced = contract(string, n)
                 direct = element(label, string, model, basis)

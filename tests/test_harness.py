@@ -376,6 +376,40 @@ class TestCli:
         assert "error: CSV directory does not exist" in capsys.readouterr().err
         assert not csv_path.parent.exists()
 
+    @pytest.mark.parametrize("axis, grid, value", [
+        ("size", "3,inf", "inf"),
+        ("m_joint", "1.0,nan,0.5", "nan"),
+    ], ids=["size-inf", "m-nan"])
+    def test_non_finite_grid_fails_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                   axis, grid, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a campaign whose grid is not finite")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_work)
+        monkeypatch.setattr("shiftsse.harness.ed.thermal_energy", no_work)
+        csv_path = tmp_path / "grid.csv"
+        assert main(["campaign", "--axis", axis, "--grid", grid, "--sweeps", "200",
+                     "--chains", "2", "--csv", str(csv_path)]) == 2
+        assert f"error: grid values must be finite, got {value}" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--sites", "3", "--sweeps", "200", "--chains", "2"],
+        ["campaign", "--axis", "m_joint", "--grid", "0.5,1.0", "--sites", "2",
+         "--sweeps", "200", "--chains", "2", "--csv", "{tmp}/seed.csv"],
+        ["contract-check", "--count", "5"],
+        ["oracle-check", "--count", "5"],
+    ], ids=["run", "campaign", "contract-check", "oracle-check"])
+    def test_negative_seed_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked with a negative seed")
+        for name in ("run_chain", "ed.thermal_energy", "random_bond_term", "contract",
+                     "ancilla_weight"):
+            monkeypatch.setattr(f"shiftsse.harness.{name}", no_work)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "seed.csv").exists()
+
     def test_python_dash_m_runs_cli(self):
         src = str(Path(shiftsse.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

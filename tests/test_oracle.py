@@ -7,7 +7,7 @@ from shiftsse.ed import spectrum
 from shiftsse.model import ModelSpec, active_terms
 from shiftsse.oracle import ancilla_weight, brute_force_partition
 from shiftsse.sampler import Configuration, weight_of
-from shiftsse.statevec import BasisChoice, BasisLabel
+from shiftsse.statevec import BasisChoice
 
 from conftest import tilted_basis
 
@@ -20,20 +20,20 @@ class TestAncillaWeight:
     def test_empty_string(self):
         model = spec()
         basis = BasisChoice.rotated()
-        cfg = Configuration(BasisLabel((1, 0)), [], model, basis)
+        cfg = Configuration((1, 0), [], model, basis)
         assert ancilla_weight(cfg, model, basis) == pytest.approx(1.0)
 
     def test_single_term_anti_aligned(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((1, 0)), [active_terms(model)[0]], model, basis)
+        cfg = Configuration((1, 0), [active_terms(model)[0]], model, basis)
         assert ancilla_weight(cfg, model, basis) == pytest.approx(2.0, abs=1e-12)
 
     def test_register_size_limit(self):
         model = spec(n=4)
         terms = active_terms(model)
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((0,) * 4), [terms[0]] * 13, model, basis)
+        cfg = Configuration((0,) * 4, [terms[0]] * 13, model, basis)
         with pytest.raises(ValueError):
             ancilla_weight(cfg, model, basis)
 
@@ -54,7 +54,7 @@ class TestAncillaWeight:
             string = [terms[int(rng.integers(len(terms)))] for _ in range(k)]
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n_sites))
             basis = tilted_basis(n_sites) if rng.random() < 0.5 else BasisChoice.rotated()
-            cfg = Configuration(BasisLabel(bits), string, model, basis)
+            cfg = Configuration(bits, string, model, basis)
             direct = weight_of(cfg.alpha, cfg.string, model, basis)
             register = ancilla_weight(cfg, model, basis)
             assert register == pytest.approx(direct, abs=1e-10, rel=1e-10)
@@ -114,8 +114,7 @@ class TestBruteForce:
         for bits in itertools.product((0, 1), repeat=2):
             for n in range(n_max + 1):
                 for ids in itertools.product(range(len(terms)), repeat=n):
-                    w = weight_of(BasisLabel(bits), [terms[i] for i in ids],
-                                  model, basis)
+                    w = weight_of(bits, [terms[i] for i in ids], model, basis)
                     z_direct += w
                     zp_direct += abs(w)
         z, zp, _ = brute_force_partition(model, basis, n_max=n_max)

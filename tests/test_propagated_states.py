@@ -23,7 +23,7 @@ from shiftsse.sampler import (
     update_string_fixed_n,
     weight_of,
 )
-from shiftsse.statevec import BasisChoice, BasisLabel
+from shiftsse.statevec import BasisChoice
 
 RTOL = 1e-12
 UPDATES = (update_alpha, update_string_fixed_n, update_insert_remove)
@@ -160,7 +160,7 @@ def test_chain_state_is_read_only_and_weighs_itself():
     for basis in bases(4, seed=5).values():
         config, rng = grown_config(model, basis, seed=51)
         assert config.order >= 2
-        for name, value in (("alpha", BasisLabel((1, 1, 1, 1))), ("string", []),
+        for name, value in (("alpha", (1, 1, 1, 1)), ("string", []),
                             ("weight_value", 1.0), ("model", model), ("basis", basis)):
             with pytest.raises(AttributeError):
                 setattr(config, name, value)
@@ -177,9 +177,8 @@ def test_order_zero_weighs_exactly_one():
     model = ModelSpec(n_sites=3, delta=1.0, m_x=1.0, m_z=1.0, beta=0.5)
     basis = BasisChoice.rotated()
     term = active_terms(model)[0]
-    for bits in itertools.product((0, 1), repeat=3):
-        alpha = BasisLabel(bits)
-        empty = Configuration(alpha.flip(0), [], model, basis)
+    for alpha in itertools.product((0, 1), repeat=3):
+        empty = Configuration((alpha[0] ^ 1,) + alpha[1:], [], model, basis)
         assert empty.relabel(alpha) == 1.0
         empty.accept()
         assert empty.weight_value == 1.0

@@ -17,7 +17,7 @@ from shiftsse.sampler import (
     update_string_fixed_n,
     weight_of,
 )
-from shiftsse.statevec import BasisChoice, BasisLabel
+from shiftsse.statevec import BasisChoice
 
 import db_checks
 from conftest import dense_matrix_element, tilted_basis
@@ -32,16 +32,15 @@ def spec(n=2, delta=1.0, m_x=1.0, m_z=1.0, beta=0.5):
 def config_for(model, bits, term_ids, basis):
     terms = active_terms(model)
     string = [terms[i] for i in term_ids]
-    alpha = BasisLabel(bits)
-    return Configuration(alpha, string, model, basis)
+    return Configuration(bits, string, model, basis)
 
 
 class TestWeight:
     def test_empty_string(self):
         model = spec()
         basis = BasisChoice.rotated()
-        assert weight_of(BasisLabel((1, 0)), [], model, basis) == 1.0
-        assert Configuration(BasisLabel((1, 0)), [], model, basis).weight_value == 1.0
+        assert weight_of((1, 0), [], model, basis) == 1.0
+        assert Configuration((1, 0), [], model, basis).weight_value == 1.0
 
     def test_single_bond_anti_aligned(self):
         model = spec(beta=1.0)
@@ -57,7 +56,7 @@ class TestWeight:
             k = int(rng.integers(0, 4))
             ids = [int(rng.integers(len(terms))) for _ in range(k)]
             bits = tuple(int(b) for b in rng.integers(0, 2, size=3))
-            got = weight_of(BasisLabel(bits), [terms[i] for i in ids], model, basis)
+            got = weight_of(bits, [terms[i] for i in ids], model, basis)
             me = dense_matrix_element(bits, basis, [terms[i] for i in ids], 3)
             want = (model.beta ** k / math.factorial(k)) * me.real
             assert got == pytest.approx(want, abs=1e-10)
@@ -71,12 +70,12 @@ class TestUpdateAlpha:
         model = spec()
         basis = BasisChoice.z_product()
         rng = rng_stream(5)
-        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
+        cfg = Configuration((0, 0), [], model, basis)
         moved = 0
         for _ in range(4000):
-            before = cfg.alpha.bits
+            before = cfg.alpha
             update_alpha(cfg, rng)
-            after = cfg.alpha.bits
+            after = cfg.alpha
             if after != before:
                 moved += 1
                 assert sum(a != b for a, b in zip(before, after)) == 1
@@ -89,18 +88,18 @@ class TestUpdateAlpha:
         rng = rng_stream(6)
         for _ in range(200):
             update_alpha(cfg, rng)
-            assert cfg.alpha.bits in ((1, 0), (0, 1))
+            assert cfg.alpha in ((1, 0), (0, 1))
 
     def test_uniform_over_labels_at_order_zero(self):
         model = spec()
         basis = BasisChoice.z_product()
         rng = rng_stream(7)
-        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
+        cfg = Configuration((0, 0), [], model, basis)
         counts = {bits: 0 for bits in itertools.product((0, 1), repeat=2)}
         steps = 40000
         for _ in range(steps):
             update_alpha(cfg, rng)
-            counts[cfg.alpha.bits] += 1
+            counts[cfg.alpha] += 1
         expected = steps / 4
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < CHI2_999_DOF3
@@ -110,7 +109,7 @@ class TestUpdateString:
     def test_noop_at_order_zero(self):
         model = spec()
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
+        cfg = Configuration((0, 0), [], model, basis)
         update_string_fixed_n(cfg, rng_stream(8))
         assert cfg.order == 0
 
@@ -131,7 +130,7 @@ class TestInsertRemove:
         basis = BasisChoice.z_product()
         # aligned pair: every ZZ insertion has zero weight, so the chain
         # is pinned at order 0 with weight 1
-        cfg = Configuration(BasisLabel((0, 0)), [], model, basis)
+        cfg = Configuration((0, 0), [], model, basis)
         rng = rng_stream(10)
         for _ in range(500):
             update_insert_remove(cfg, rng)
@@ -141,7 +140,7 @@ class TestInsertRemove:
     def test_grows_when_insertions_allowed(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()
-        cfg = Configuration(BasisLabel((1, 0)), [], model, basis)
+        cfg = Configuration((1, 0), [], model, basis)
         rng = rng_stream(11)
         for _ in range(600):
             update_insert_remove(cfg, rng)
@@ -223,8 +222,7 @@ class TestErgodicity:
         for bits in itertools.product((0, 1), repeat=2):
             for n in range(3):
                 for ids in _enumerate_strings(terms, n):
-                    w = weight_of(BasisLabel(bits), [terms[i] for i in ids],
-                                  model, basis)
+                    w = weight_of(bits, [terms[i] for i in ids], model, basis)
                     if w != 0.0:
                         reachable.add((bits, ids))
 
@@ -236,7 +234,7 @@ class TestErgodicity:
         for _ in range(12000):
             cfg, _ = sweep(cfg, plan, rng)
             if cfg.order <= 2:
-                visited.add((cfg.alpha.bits, tuple(id_of[t] for t in cfg.string)))
+                visited.add((cfg.alpha, tuple(id_of[t] for t in cfg.string)))
         missing = reachable - visited
         assert not missing, f"unvisited configurations: {sorted(missing)[:5]}"
 
@@ -311,7 +309,7 @@ class TestChainWeightAtSamplerSizes:
         _, cfg = run_chain(model, basis, SweepPlan.default(n_sites),
                            rng_stream(40 + n_sites), sweeps=300, warmup_sweeps=30)
         n = cfg.order
-        me = dense_matrix_element(cfg.alpha.bits, basis, cfg.string, n_sites)
+        me = dense_matrix_element(cfg.alpha, basis, cfg.string, n_sites)
         dense = model.beta ** n / math.factorial(n) * me.real
         assert cfg.weight_value == pytest.approx(dense, rel=1e-10, abs=0.0)
         if n_sites + n <= ANCILLA_QUBIT_LIMIT:

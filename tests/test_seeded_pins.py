@@ -58,4 +58,4 @@ def test_long_chain_is_pinned():
     assert est.stderr == pytest.approx(0.8092976855643548, rel=RTOL)
     assert est.order_value == pytest.approx(22.760233918128655, rel=RTOL)
     assert config.order == 29
-    assert config.alpha.bits == (1, 0, 1, 0, 0, 1, 1)
+    assert config.alpha == (1, 0, 1, 0, 0, 1, 1)

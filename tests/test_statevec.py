@@ -7,7 +7,6 @@ from shiftsse.model import BondTerm, ModelSpec, PauliFlavor
 from shiftsse.sampler import Configuration
 from shiftsse.statevec import (
     BasisChoice,
-    BasisLabel,
     bond_kernel,
     default_rotation,
     prepare,
@@ -27,14 +26,14 @@ def xx(site=0, shift=1.0, sign=-1, coupling=1.0):
 def weight(bits, basis, string, beta=1.0):
     """Configuration weight of a hand-built string; the model only fixes N and beta."""
     model = ModelSpec(n_sites=len(bits), delta=1.0, m_x=1.0, m_z=1.0, beta=beta)
-    return Configuration(BasisLabel(bits), string, model, basis).weight_value
+    return Configuration(bits, string, model, basis).weight_value
 
 
 class TestPrepare:
     def test_z_product_is_one_hot(self):
-        st = prepare(BasisLabel((0, 0)), BasisChoice.z_product())
+        st = prepare((0, 0), BasisChoice.z_product())
         np.testing.assert_allclose(st.amps, [1, 0, 0, 0], atol=0)
-        st = prepare(BasisLabel((1, 0)), BasisChoice.z_product())
+        st = prepare((1, 0), BasisChoice.z_product())
         np.testing.assert_allclose(st.amps, [0, 1, 0, 0], atol=0)
 
     def test_no_unitaries_is_z_basis(self):
@@ -43,7 +42,7 @@ class TestPrepare:
 
     def test_default_rotation_amplitudes(self):
         # T*H |0> = (|0> + e^{i pi/4}|1>)/sqrt(2)
-        st = prepare(BasisLabel((0,)), BasisChoice.rotated())
+        st = prepare((0,), BasisChoice.rotated())
         expect = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2.0)
         np.testing.assert_allclose(st.amps, expect, atol=1e-15)
 
@@ -52,7 +51,7 @@ class TestPrepare:
         for _ in range(10):
             n = int(rng.integers(1, 6))
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
-            amps = prepare(BasisLabel(bits), basis).amps
+            amps = prepare(bits, basis).amps
             assert np.linalg.norm(amps) == pytest.approx(1.0)
 
     def test_rejects_non_unitary(self):
@@ -62,21 +61,14 @@ class TestPrepare:
     def test_per_site_length_mismatch(self):
         basis = BasisChoice.rotated([np.eye(2), default_rotation()])
         with pytest.raises(ValueError):
-            prepare(BasisLabel((0, 1, 0)), basis)
-
-    def test_label_helpers(self):
-        label = BasisLabel((1, 0, 1, 0))
-        assert label.n_qubits == 4
-        assert label.flip(1).bits == (1, 1, 1, 0)
-        with pytest.raises(ValueError):
-            BasisLabel((0, 2))
+            prepare((0, 1, 0), basis)
 
 
 class TestApplyTerm:
     """One bond term applied through its raw-array kernel."""
 
     def test_zz_signs_on_aligned_pair(self):
-        amps = prepare(BasisLabel((0, 0)), BasisChoice.z_product()).amps
+        amps = prepare((0, 0), BasisChoice.z_product()).amps
         # ferromagnetic-sign convention doubles an aligned pair
         out = bond_kernel(zz(sign=+1), 2)(amps)
         np.testing.assert_allclose(out, 2.0 * amps, atol=0)
@@ -85,7 +77,7 @@ class TestApplyTerm:
         np.testing.assert_allclose(out, np.zeros(4), atol=0)
 
     def test_xx_branches(self):
-        amps = prepare(BasisLabel((0, 0)), BasisChoice.z_product()).amps
+        amps = prepare((0, 0), BasisChoice.z_product()).amps
         out = bond_kernel(xx(sign=-1), 2)(amps)
         np.testing.assert_allclose(out, [1, 0, 0, -1], atol=0)
 
@@ -137,7 +129,7 @@ class TestStringMatrixElement:
         # shifted bond factors are real symmetric, so reversing the string
         # conjugates the matrix element
         def element(bits, string):
-            start = prepare(BasisLabel(bits), basis).amps
+            start = prepare(bits, basis).amps
             cur = start
             for term in string:
                 cur = bond_kernel(term, len(bits))(cur)
