@@ -338,6 +338,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_safe(value):
+    """`value` with None (JSON null) for each non-finite float in it or its dicts."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_campaign_csv(rows: list[dict], path: Path, spec: CampaignSpec) -> None:
     """CSV table plus a JSON sidecar with full provenance."""
     path = Path(path)
@@ -355,7 +362,8 @@ def write_campaign_csv(rows: list[dict], path: Path, spec: CampaignSpec) -> None
         "rows": len(rows),
     }
     Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(_json_safe(sidecar), indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -500,20 +508,22 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _output_path(text: str, what: str) -> Path:
-    """An output path whose directory exists, checked before any sampling."""
+    """A file path (not a directory) in an existing directory, checked before sampling."""
     path = Path(text)
     if not path.parent.is_dir():
         raise FileNotFoundError(f"{what} directory does not exist: {path.parent}")
+    if path.is_dir():
+        raise IsADirectoryError(f"{what} path is a directory: {path}")
     return path
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_run_config(args)
     output = _output_path(args.output, "output") if args.output else None
-    payload = json.dumps(run(config).as_dict(), indent=2)
+    payload = json.dumps(_json_safe(run(config).as_dict()), indent=2, allow_nan=False)
+    print(payload)
     if output:
         output.write_text(payload + "\n", encoding="utf-8")
-    print(payload)
     return 0
 
 
@@ -522,6 +532,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     grid = tuple(float(v) for v in args.grid.split(","))
     spec = CampaignSpec(axis=args.axis, grid=grid, base=base)
     csv_path = _output_path(args.csv, "CSV")
+    _output_path(args.csv + ".meta.json", "CSV sidecar")
     rows = campaign(spec)
     write_campaign_csv(rows, csv_path, spec)
     failures = sum(1 for row in rows if row["error"])

@@ -1,15 +1,18 @@
-"""Every exported name resolves, so no deleted function lingers in an export list."""
+"""Every exported name resolves, and each name is imported from its own module."""
 
-import ast
 import importlib
-import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import shiftsse
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(shiftsse.__path__))
+SRC = str(Path(shiftsse.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,12 +21,20 @@ def test_module_all_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_imports_resolve_and_are_public():
-    tree = ast.parse(inspect.getsource(shiftsse))
-    imported = [(node.module, alias.name) for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert imported
-    for module_name, name in imported:
-        module = importlib.import_module(f"shiftsse.{module_name}")
-        assert hasattr(shiftsse, name), name
-        assert name in module.__all__, f"{module_name}.{name}"
+def _loaded_after(statement: str) -> list[str]:
+    """Names in sys.modules after `statement` runs in a fresh interpreter."""
+    probe = f"import sys\n{statement}\nprint('\\n'.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    return out.stdout.split()
+
+
+def test_package_root_loads_only_what_is_imported():
+    assert [m for m in _loaded_after("import shiftsse") if m.startswith("shiftsse.")] == []
+    loaded = _loaded_after("import shiftsse.sampler")
+    assert [m for m in loaded if m.startswith("shiftsse.")] == [
+        "shiftsse.estimators", "shiftsse.model", "shiftsse.sampler", "shiftsse.statevec",
+    ]
+    assert "argparse" not in loaded

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -38,6 +39,20 @@ CSV_HEADER = [
     "avg_sign_err", "energy", "energy_err", "avg_order", "avg_order_err",
     "energy_ed", "abs_energy_diff", "pct_stderr_vs_ed", "reliable", "error",
 ]
+
+# A sign-afflicted point too short for binned error bars: energy_err,
+# avg_order_err and pct_stderr_vs_ed come out NaN and reliable is false.
+UNDEFINED_ERRORS = ["--sites", "3", "--mx", "0.1", "--mz", "0.1", "-T", "1", "--sweeps", "200",
+                    "--chains", "1", "--seed", "0", "--warmup-fraction", "0"]
+UNDEFINED_FIELDS = ("energy_err", "avg_order_err", "pct_stderr_vs_ed")
+
+
+def strict_json(text: str):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
 
 # One non-default value per RunConfig field: its config-file line and its flag.
 FIELD_SAMPLES = {
@@ -233,6 +248,16 @@ class TestCampaign:
         assert sidecar["base_config"]["seed"] == FAST["seed"]
         assert sidecar["rows"] == 2
 
+    def test_csv_cells_for_undefined_errors_and_booleans(self, tmp_path, capsys):
+        csv_path = tmp_path / "undefined.csv"
+        assert main(["campaign", "--axis", "m_joint", "--grid", "0.1", *UNDEFINED_ERRORS,
+                     "--csv", str(csv_path)]) == 0
+        with csv_path.open(newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert [row[name] for name in UNDEFINED_FIELDS] == ["nan", "nan", "nan"]
+        assert row["reliable"] == "false"
+        strict_json((tmp_path / "undefined.csv.meta.json").read_text(encoding="utf-8"))
+
     def test_git_timeout_still_writes_sidecar(self, tmp_path, monkeypatch):
         def hang(cmd, **kwargs):
             raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
@@ -358,6 +383,54 @@ class TestCli:
                      "--output", str(out_path)]) == 2
         assert "error: output directory does not exist" in capsys.readouterr().err
         assert not out_path.parent.exists()
+
+    def test_run_json_writes_null_for_undefined_errors(self, tmp_path, capsys):
+        out_path = tmp_path / "record.json"
+        assert main(["run", *UNDEFINED_ERRORS, "--output", str(out_path)]) == 0
+        for text in (capsys.readouterr().out, out_path.read_text(encoding="utf-8")):
+            record = strict_json(text)
+            assert [record[name] for name in UNDEFINED_FIELDS] == [None, None, None]
+            assert record["reliable"] is False and math.isfinite(record["energy"])
+
+    def test_campaign_sidecar_writes_null_for_non_finite_base(self, tmp_path, capsys):
+        csv_path = tmp_path / "x.csv"
+        assert main(["campaign", "--axis", "m_joint", "--grid", "0.5,1.0", "--mx", "nan",
+                     "--sites", "3", "--sweeps", "2000", "--chains", "2", "--seed", "4",
+                     "--csv", str(csv_path)]) == 0
+        sidecar = strict_json((tmp_path / "x.csv.meta.json").read_text(encoding="utf-8"))
+        assert sidecar["base_config"]["m_x"] is None
+
+    @pytest.mark.parametrize("argv, target, what", [
+        (["run", "--sites", "3", "--output", "{dir}"], "{dir}", "output"),
+        (["campaign", "--axis", "m_joint", "--grid", "0.5,1.0", "--csv", "{dir}"],
+         "{dir}", "CSV"),
+        (["campaign", "--axis", "m_joint", "--grid", "0.5,1.0", "--csv", "{tmp}/x.csv"],
+         "{tmp}/x.csv.meta.json", "CSV sidecar"),
+    ], ids=["run-output", "campaign-csv", "campaign-sidecar"])
+    def test_directory_as_output_fails_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                       argv, target, what):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled a point whose output path is a directory")
+        monkeypatch.setattr("shiftsse.harness.run_chain", no_work)
+        monkeypatch.setattr("shiftsse.harness.ed.thermal_energy", no_work)
+        names = {"dir": tmp_path / "taken", "tmp": tmp_path}
+        target = Path(target.format(**names))
+        target.mkdir()
+        assert main([arg.format(**names) for arg in argv]) == 2
+        assert f"error: {what} path is a directory: {target}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failed_output_write_keeps_record_on_stdout(self, tmp_path, monkeypatch, capsys):
+        def disk_full(self, *args, **kwargs):
+            raise OSError(f"No space left on device: {self}")
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        out_path = tmp_path / "record.json"
+        assert main(["run", "--sites", "2", "--sweeps", "1000", "--chains", "2", "--seed", "4",
+                     "--output", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: No space left on device" in captured.err
+        assert strict_json(captured.out)["n_sites"] == 2
+        assert not out_path.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
