@@ -39,8 +39,6 @@ __all__ = [
     "contract",
 ]
 
-_SHIFT_ONE_TOL = 1e-12
-
 
 @dataclass(slots=True)
 class ContractedString:
@@ -93,7 +91,7 @@ def merge_same_bond(a: BondTerm, b: BondTerm) -> tuple[float, BondTerm]:
 
 
 def _is_unit_shift_zz(term: BondTerm) -> bool:
-    return term.flavor is PauliFlavor.ZZ and abs(term.shift - 1.0) <= _SHIFT_ONE_TOL
+    return term.flavor is PauliFlavor.ZZ and term.shift == 1.0
 
 
 def sandwich_eliminate(left: BondTerm, mid: BondTerm, right: BondTerm,

@@ -12,10 +12,9 @@ anisotropy) and emit one CSV row per grid point plus a JSON sidecar
 recording the full provenance. Grid points that fail validation produce
 an error row instead of aborting the campaign.
 
-CLI verbs: run, campaign, ed, contract-check, oracle-check. Options may
-come from a UTF-8 key=value config file, with command-line flags taking
-precedence. The config keys, flags, JSON record and CSV header all derive
-from RUN_OPTIONS and the RunConfig and ResultRecord dataclasses.
+CLI verbs: run, campaign, ed, contract-check, oracle-check. The flags of
+run and campaign, the JSON record and the CSV header all derive from
+RUN_OPTIONS and the RunConfig and ResultRecord dataclasses.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .estimators import DEFAULT_BINS, energy
 from .model import DENSE_SITE_LIMIT, BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
-from .statevec import BasisChoice, default_rotation
+from .statevec import BasisChoice
 
 __all__ = [
     "RunConfig",
@@ -54,16 +53,10 @@ __all__ = [
 ]
 
 
-def site_list(text: str) -> tuple[int, ...] | None:
-    """Comma-separated site indices; empty text leaves every site rotated."""
-    return tuple(int(v) for v in text.split(",")) if text else None
-
-
-# RunConfig field (also its config-file key) -> (CLI flags, parser of the
-# config-file or flag text, role). "model" fields are the options of the
-# `ed` verb too; "model" and "record" fields are the leading columns of the
-# run record and the campaign CSV, in this order (rotate_sites is reported
-# through the basis label).
+# RunConfig field -> (CLI flags, parser of the flag text, role). "model"
+# fields are the options of the `ed` verb too; "model" and "record" fields
+# are the leading columns of the run record and the campaign CSV, in this
+# order.
 RUN_OPTIONS = {
     "n_sites": (("--sites",), int, "model"),
     "delta": (("--delta",), float, "model"),
@@ -75,12 +68,10 @@ RUN_OPTIONS = {
     "chains": (("--chains",), int, "record"),
     "seed": (("--seed",), int, "record"),
     "basis": (("--basis",), str, "record"),
-    "rotate_sites": (("--rotate-sites",), site_list, None),
     "plan_alpha": (("--plan-alpha",), int, None),
     "plan_string": (("--plan-string",), int, None),
     "plan_insert": (("--plan-insert",), int, None),
     "workers": (("--workers",), int, None),
-    "n_bins": (("--bins",), int, None),
 }
 REPORTED_CONFIG = tuple(name for name, (_, _, role) in RUN_OPTIONS.items() if role)
 
@@ -115,12 +106,10 @@ class RunConfig:
     chains: int = 4
     seed: int = 1
     basis: str = "rotated"
-    rotate_sites: tuple[int, ...] | None = None
     plan_alpha: int | None = None
     plan_string: int | None = None
     plan_insert: int | None = None
     workers: int = 1
-    n_bins: int = DEFAULT_BINS
 
     def __post_init__(self):
         if not 0.0 < self.temperature < math.inf:
@@ -143,14 +132,6 @@ class RunConfig:
             count = getattr(self, name)
             if count is not None and count < 1:
                 raise ValueError(f"{name} must be at least 1, got {count}")
-        if self.n_bins < 2:
-            raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
-        if self.rotate_sites is not None:
-            if self.basis != "rotated":
-                raise ValueError("rotate_sites needs basis 'rotated'")
-            for site in self.rotate_sites:
-                if not 0 <= site < self.n_sites:
-                    raise ValueError(f"rotate_sites entry {site} outside chain")
 
     @property
     def beta(self) -> float:
@@ -166,14 +147,7 @@ class RunConfig:
         )
 
     def basis_choice(self) -> BasisChoice:
-        if self.basis == "z":
-            return BasisChoice.z_product()
-        if self.rotate_sites is None:
-            return BasisChoice.rotated()
-        rotations = [np.eye(2, dtype=complex) for _ in range(self.n_sites)]
-        for site in self.rotate_sites:
-            rotations[site] = default_rotation()
-        return BasisChoice.rotated(rotations)
+        return BasisChoice.z_product() if self.basis == "z" else BasisChoice.rotated()
 
     def sweep_plan(self) -> SweepPlan:
         return SweepPlan(
@@ -213,10 +187,8 @@ class ResultRecord:
     reliable: bool
 
     def as_dict(self) -> dict:
-        """Reported config fields, then the results; "rotated:0,2" names rotated sites."""
+        """Reported config fields, then the results."""
         out = {name: getattr(self.config, name) for name in REPORTED_CONFIG}
-        if self.config.rotate_sites is not None:
-            out["basis"] += ":" + ",".join(str(s) for s in self.config.rotate_sites)
         out.update((name, getattr(self, name)) for name in RESULT_FIELDS)
         return out
 
@@ -231,10 +203,8 @@ def _chain_worker(job: tuple[RunConfig, int]):
     basis = config.basis_choice()
     plan = config.sweep_plan()
     total, warmup = config.chain_schedule()[k]
-    acc, _ = run_chain(
-        spec, basis, plan, rng_stream(config.seed, stream=k),
-        sweeps=total, warmup_sweeps=warmup, n_bins=config.n_bins,
-    )
+    acc, _ = run_chain(spec, basis, plan, rng_stream(config.seed, stream=k),
+                       sweeps=total, warmup_sweeps=warmup)
     return acc
 
 
@@ -246,9 +216,9 @@ def run(config: RunConfig) -> ResultRecord:
     """
     spec = config.model_spec()
     for total, warmup in config.chain_schedule():
-        if total - warmup < config.n_bins:
+        if total - warmup < DEFAULT_BINS:
             raise ValueError(
-                f"each chain must keep at least {config.n_bins} samples; "
+                f"each chain must keep at least {DEFAULT_BINS} samples; "
                 f"got {total - warmup} (sweeps={config.sweeps}, chains={config.chains})"
             )
     e_ref = ed.thermal_energy(spec)
@@ -386,6 +356,10 @@ def _git_revision() -> str:
 # ---------------------------------------------------------------------------
 # Randomized self-checks (also exposed as CLI verbs)
 
+# Maximum deviation at which contract-check and oracle-check pass.
+CHECK_TOLERANCE = 1e-10
+
+
 def random_bond_term(rng: np.random.Generator, n_sites: int) -> BondTerm:
     """Random term with mixed shifts; shift lands exactly on 1 half the time."""
     flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
@@ -473,38 +447,14 @@ def random_weight_equivalence_check(count: int, seed: int,
 # ---------------------------------------------------------------------------
 # CLI
 
-def parse_config_file(path: Path) -> dict:
-    """UTF-8 key=value file; '#' starts a comment; keys match RunConfig fields."""
-    values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in RUN_OPTIONS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = RUN_OPTIONS[key][1](value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return values
-
-
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="key=value config file")
     for name, (flags, parse, _) in RUN_OPTIONS.items():
         p.add_argument(*flags, dest=name, type=parse)
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    for name in RUN_OPTIONS:
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-    return RunConfig(**values)
+    return RunConfig(**{name: getattr(args, name) for name in RUN_OPTIONS
+                        if getattr(args, name) is not None})
 
 
 def _output_path(text: str, what: str) -> Path:
@@ -555,17 +505,17 @@ def _cmd_ed(args: argparse.Namespace) -> int:
 def _cmd_contract_check(args: argparse.Namespace) -> int:
     worst = random_contraction_check(args.count, args.seed,
                                      max_sites=args.max_sites, max_len=args.max_len)
-    ok = worst <= args.tolerance
+    ok = worst <= CHECK_TOLERANCE
     print(f"contract-check: {args.count} strings, max deviation {worst:.3e} "
-          f"({'PASS' if ok else 'FAIL'} at {args.tolerance:g})")
+          f"({'PASS' if ok else 'FAIL'} at {CHECK_TOLERANCE:g})")
     return 0 if ok else 1
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     worst = random_weight_equivalence_check(args.count, args.seed)
-    ok = worst <= args.tolerance
+    ok = worst <= CHECK_TOLERANCE
     print(f"oracle-check: {args.count} configurations, max deviation {worst:.3e} "
-          f"({'PASS' if ok else 'FAIL'} at {args.tolerance:g})")
+          f"({'PASS' if ok else 'FAIL'} at {CHECK_TOLERANCE:g})")
     return 0 if ok else 1
 
 
@@ -602,13 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("--seed", type=int, default=7)
     p_cc.add_argument("--max-sites", type=int, default=7)
     p_cc.add_argument("--max-len", type=int, default=8)
-    p_cc.add_argument("--tolerance", type=float, default=1e-10)
     p_cc.set_defaults(func=_cmd_contract_check)
 
     p_oc = sub.add_parser("oracle-check", help="direct vs ancilla-register weights")
     p_oc.add_argument("--count", type=int, default=500)
     p_oc.add_argument("--seed", type=int, default=11)
-    p_oc.add_argument("--tolerance", type=float, default=1e-10)
     p_oc.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import DEFAULT_BINS, RunAccumulators
+from .estimators import RunAccumulators
 from .model import ModelSpec, active_terms
 from .statevec import BasisChoice, bond_kernel, prepare
 
@@ -112,10 +112,8 @@ class Configuration:
         self._basis = basis
         self._string = list(string)
         self._kernels = [bond_kernel(term, model.n_sites) for term in self._string]
-        self._adopt(alpha, [prepare(alpha, basis).amps])
-        n = len(self._string)
-        self._weight = self._weight_at(n, self._right_at(n), self._left_at(n))
-        self._move = None
+        self.relabel(alpha)
+        self.accept()
 
     @classmethod
     def initial(cls, model: ModelSpec, basis: BasisChoice,
@@ -349,8 +347,8 @@ def sweep(config: Configuration, plan: SweepPlan,
 
 
 def run_chain(model: ModelSpec, basis: BasisChoice, plan: SweepPlan,
-              rng: np.random.Generator, sweeps: int, warmup_sweeps: int,
-              n_bins: int = DEFAULT_BINS) -> tuple[RunAccumulators, Configuration]:
+              rng: np.random.Generator, sweeps: int,
+              warmup_sweeps: int) -> tuple[RunAccumulators, Configuration]:
     """Drive one chain for `sweeps` sweeps, accumulating after warmup.
 
     Each chain owns its configuration and accumulator; independent
@@ -360,7 +358,7 @@ def run_chain(model: ModelSpec, basis: BasisChoice, plan: SweepPlan,
     if warmup_sweeps >= sweeps:
         raise ValueError(f"warmup ({warmup_sweeps}) must be below sweeps ({sweeps})")
     config = Configuration.initial(model, basis, rng)
-    acc = RunAccumulators(n_bins=n_bins, expected_samples=sweeps - warmup_sweeps)
+    acc = RunAccumulators(expected_samples=sweeps - warmup_sweeps)
     for i in range(sweeps):
         config, sample = sweep(config, plan, rng)
         if i >= warmup_sweeps:

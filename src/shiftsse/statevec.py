@@ -102,7 +102,9 @@ class StateVector:
     amps: np.ndarray
 
 
-@lru_cache(maxsize=None)
+# 256 labels hold every label up to N = 8; past that the cache stays at
+# 256 vectors of 2^N complex amplitudes instead of all 2^N of them.
+@lru_cache(maxsize=256)
 def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:
     n = len(bits)
     amps = np.ones(1, dtype=complex)

@@ -134,6 +134,13 @@ class TestSandwich:
         best = prod - 2.0 * mid.shift * dense_term(bread, n)
         assert np.max(np.abs(best)) > 0.1
 
+    def test_near_unit_shift_not_applicable(self):
+        # the rule is exact only at shift 1.0 itself, so 1 + 1e-13 keeps all three terms
+        bread, mid = zz(0, shift=1.0 + 1e-13), xx(1)
+        assert sandwich_eliminate(bread, mid, bread, 3) is None
+        reduced = contract([bread, mid, bread], 3)
+        assert (reduced.prefactor, reduced.terms) == (1.0, [bread, mid, bread])
+
     def test_xx_bread_not_rewritten(self):
         assert sandwich_eliminate(xx(1), zz(0), xx(1), 4) is None
 

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +21,6 @@ from shiftsse.harness import (
     build_parser,
     campaign,
     main,
-    parse_config_file,
     random_contraction_check,
     random_weight_equivalence_check,
     run,
@@ -54,24 +52,22 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-# One non-default value per RunConfig field: its config-file line and its flag.
+# One non-default value per RunConfig field: the value and its flag.
 FIELD_SAMPLES = {
-    "n_sites": ("n_sites = 4", ["--sites", "4"]),
-    "delta": ("delta = 0.5", ["--delta", "0.5"]),
-    "m_x": ("m_x = 0.75", ["--mx", "0.75"]),
-    "m_z": ("m_z = 1.25", ["--mz", "1.25"]),
-    "temperature": ("temperature = 1.5", ["--temperature", "1.5"]),
-    "sweeps": ("sweeps = 3000", ["--sweeps", "3000"]),
-    "warmup_fraction": ("warmup_fraction = 0.2", ["--warmup-fraction", "0.2"]),
-    "chains": ("chains = 3", ["--chains", "3"]),
-    "seed": ("seed = 12", ["--seed", "12"]),
-    "basis": ("basis = z", ["--basis", "z"]),
-    "rotate_sites": ("rotate_sites = 0,2", ["--rotate-sites", "0,2"]),
-    "plan_alpha": ("plan_alpha = 6", ["--plan-alpha", "6"]),
-    "plan_string": ("plan_string = 2", ["--plan-string", "2"]),
-    "plan_insert": ("plan_insert = 5", ["--plan-insert", "5"]),
-    "workers": ("workers = 2", ["--workers", "2"]),
-    "n_bins": ("n_bins = 10", ["--bins", "10"]),
+    "n_sites": (4, ["--sites", "4"]),
+    "delta": (0.5, ["--delta", "0.5"]),
+    "m_x": (0.75, ["--mx", "0.75"]),
+    "m_z": (1.25, ["--mz", "1.25"]),
+    "temperature": (1.5, ["--temperature", "1.5"]),
+    "sweeps": (3000, ["--sweeps", "3000"]),
+    "warmup_fraction": (0.2, ["--warmup-fraction", "0.2"]),
+    "chains": (3, ["--chains", "3"]),
+    "seed": (12, ["--seed", "12"]),
+    "basis": ("z", ["--basis", "z"]),
+    "plan_alpha": (6, ["--plan-alpha", "6"]),
+    "plan_string": (2, ["--plan-string", "2"]),
+    "plan_insert": (5, ["--plan-insert", "5"]),
+    "workers": (2, ["--workers", "2"]),
 }
 
 
@@ -95,10 +91,6 @@ class TestRunConfig:
                 with pytest.raises(ValueError, match=f"{name} must be at least 1"):
                     RunConfig(**{name: count})
             RunConfig(**{name: 1})
-        for n_bins in (1, 0):
-            with pytest.raises(ValueError, match="n_bins must be at least 2"):
-                RunConfig(n_bins=n_bins)
-        RunConfig(n_bins=2)
 
     def test_chain_schedule_splits_budget(self):
         cfg = RunConfig(sweeps=10001, chains=4, warmup_fraction=0.1)
@@ -108,21 +100,6 @@ class TestRunConfig:
 
     def test_default_sweep_plan_is_n_label_flip_attempts(self):
         assert RunConfig(n_sites=5).sweep_plan() == SweepPlan(5, None, 5)
-
-    def test_rotate_sites_basis(self):
-        cfg = RunConfig(n_sites=3, rotate_sites=(1,))
-        basis = cfg.basis_choice()
-        np.testing.assert_allclose(basis.qubit_unitary(0, 3), np.eye(2))
-        assert abs(basis.qubit_unitary(1, 3)[1, 0]) > 0.1
-        with pytest.raises(ValueError):
-            RunConfig(n_sites=2, rotate_sites=(5,)).basis_choice()
-
-    def test_rotate_sites_validation(self):
-        with pytest.raises(ValueError, match="basis 'rotated'"):
-            RunConfig(n_sites=3, basis="z", rotate_sites=(0,))
-        for sites in ((3,), (-1,), (0, 3)):
-            with pytest.raises(ValueError, match="outside chain"):
-                RunConfig(n_sites=3, rotate_sites=sites)
 
 
 class TestRun:
@@ -194,13 +171,12 @@ class TestRun:
 
 class TestRecordSchema:
     def test_record_key_order_and_basis_label(self):
-        rec = run(RunConfig(**{**FAST, "n_sites": 3, "rotate_sites": (0, 2)}))
+        rec = run(RunConfig(**{**FAST, "n_sites": 3}))
         record = rec.as_dict()
         assert list(record) == CSV_HEADER[2:-1]
-        assert record["basis"] == "rotated:0,2"
+        assert record["basis"] == "rotated"
         assert record["n_sites"] == 3 and record["seed"] == FAST["seed"]
         assert record["avg_sign"] == rec.avg_sign
-        assert run(RunConfig(**FAST)).as_dict()["basis"] == "rotated"
         assert run(RunConfig(**FAST, basis="z")).as_dict()["basis"] == "z"
 
 
@@ -270,42 +246,7 @@ class TestCampaign:
 
 
 class TestConfigFile:
-    def test_parse_and_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# comment line\n"
-            "n_sites = 4\n"
-            "delta = 0.5  # inline comment\n"
-            "basis = z\n"
-            "rotate_sites = 0,2\n"
-            "seed = 9\n",
-            encoding="utf-8",
-        )
-        values = parse_config_file(cfg)
-        assert values == {
-            "n_sites": 4, "delta": 0.5, "basis": "z",
-            "rotate_sites": (0, 2), "seed": 9,
-        }
-
-    def test_unknown_key(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("flux_capacitor = 1\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            parse_config_file(cfg)
-
-    def test_missing_equals(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just a line\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            parse_config_file(cfg)
-
-    def test_bad_value_names_line_and_key(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("n_sites = 3\nsweeps = 3.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: sweeps: ")):
-            parse_config_file(cfg)
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert f"error: {cfg}:2: sweeps: " in capsys.readouterr().err
+    """The flags of run and campaign: one per RunConfig field."""
 
     def test_option_table_covers_run_config(self):
         fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -313,15 +254,11 @@ class TestConfigFile:
         assert set(FIELD_SAMPLES) == fields
 
     @pytest.mark.parametrize("field", sorted(FIELD_SAMPLES))
-    def test_config_line_and_flag_agree(self, tmp_path, field):
-        line, flag = FIELD_SAMPLES[field]
-        cfg = tmp_path / "one.cfg"
-        cfg.write_text(line + "\n", encoding="utf-8")
-        parser = build_parser()
-        from_file = _build_run_config(parser.parse_args(["run", "--config", str(cfg)]))
-        from_flag = _build_run_config(parser.parse_args(["run", *flag]))
-        assert from_file == from_flag
-        assert getattr(from_flag, field) != getattr(RunConfig(), field)
+    def test_config_line_and_flag_agree(self, field):
+        value, flag = FIELD_SAMPLES[field]
+        from_flag = _build_run_config(build_parser().parse_args(["run", *flag]))
+        assert from_flag == RunConfig(**{field: value})
+        assert value != getattr(RunConfig(), field)
 
 
 class TestCli:
@@ -331,16 +268,6 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["avg_sign"] == 1.0
-
-    def test_run_verb_config_file_with_override(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_sites = 2\nsweeps = 1000\nchains = 2\nseed = 4\n",
-                       encoding="utf-8")
-        code = main(["run", "--config", str(cfg), "--delta", "0.0"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["delta"] == 0.0
-        assert payload["n_sites"] == 2
 
     def test_validation_failure_exit_code(self, capsys):
         code = main(["run", "--sites", "2", "--temperature", "-1"])
@@ -431,11 +358,6 @@ class TestCli:
         assert "error: No space left on device" in captured.err
         assert strict_json(captured.out)["n_sites"] == 2
         assert not out_path.exists()
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "missing.cfg" in err
 
     def test_missing_csv_directory_fails_before_sampling(self, tmp_path, monkeypatch,
                                                          capsys):
@@ -536,6 +458,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("verb, check", [
+        ("contract-check", "random_contraction_check"),
+        ("oracle-check", "random_weight_equivalence_check"),
+    ])
+    def test_self_checks_fail_above_fixed_tolerance(self, monkeypatch, capsys, verb, check):
+        for worst, code, verdict in ((1e-10, 0, "PASS"), (2e-10, 1, "FAIL")):
+            monkeypatch.setattr(f"shiftsse.harness.{check}", lambda *a, worst=worst, **k: worst)
+            assert main([verb, "--count", "1"]) == code
+            assert f"({verdict} at 1e-10)" in capsys.readouterr().out
 
     def test_contract_check_verb(self, capsys):
         assert main(["contract-check", "--count", "40", "--seed", "2"]) == 0

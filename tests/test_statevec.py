@@ -12,7 +12,7 @@ from shiftsse.statevec import (
     prepare,
 )
 
-from conftest import dense_matrix_element, dense_term, random_term
+from conftest import dense_matrix_element, dense_prepare, dense_term, random_term
 
 
 def zz(site=0, shift=1.0, sign=-1, coupling=1.0):
@@ -53,6 +53,14 @@ class TestPrepare:
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
             amps = prepare(bits, basis).amps
             assert np.linalg.norm(amps) == pytest.approx(1.0)
+
+    def test_prepared_state_cache_is_bounded(self):
+        from shiftsse.statevec import _prepared_amps
+        basis = BasisChoice.rotated()
+        labels = [tuple((index >> q) & 1 for q in range(9)) for index in range(300)]
+        for bits in labels + labels[:10]:  # the first labels again, after eviction
+            np.testing.assert_array_equal(prepare(bits, basis).amps, dense_prepare(bits, basis))
+        assert _prepared_amps.cache_info().currsize <= 256
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
