@@ -340,7 +340,7 @@ def write_campaign_csv(rows: list[dict], path: Path, spec: CampaignSpec) -> None
 def _git_revision() -> str:
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
@@ -358,6 +358,10 @@ def _git_revision() -> str:
 
 # Maximum deviation at which contract-check and oracle-check pass.
 CHECK_TOLERANCE = 1e-10
+# Longest string random_contraction_check draws.
+CONTRACTION_MAX_LEN = 8
+# System plus ancilla qubits bounding random_weight_equivalence_check's registers.
+ORACLE_QUBIT_BUDGET = 12
 
 
 def random_bond_term(rng: np.random.Generator, n_sites: int) -> BondTerm:
@@ -376,20 +380,17 @@ def _dense_product(string: list[BondTerm], n_sites: int) -> np.ndarray:
     return out
 
 
-def random_contraction_check(count: int, seed: int, max_sites: int = 4,
-                             max_len: int = 8) -> float:
+def random_contraction_check(count: int, seed: int, max_sites: int = 4) -> float:
     """Max relative deviation of prefactor*contracted vs original products."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if max_len < 0:
-        raise ValueError(f"max_len must be at least 0, got {max_len}")
     if not 2 <= max_sites <= DENSE_SITE_LIMIT:
         raise ValueError(f"max_sites must lie in [2, {DENSE_SITE_LIMIT}], got {max_sites}")
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(count):
         n_sites = int(rng.integers(2, max_sites + 1))
-        length = int(rng.integers(0, max_len + 1))
+        length = int(rng.integers(0, CONTRACTION_MAX_LEN + 1))
         string = [random_bond_term(rng, n_sites) for _ in range(length)]
         original = _dense_product(string, n_sites)
         reduced = contract(string, n_sites)
@@ -414,8 +415,7 @@ def _random_basis(rng: np.random.Generator, n_sites: int) -> BasisChoice:
     return BasisChoice.rotated([_random_unitary(rng) for _ in range(n_sites)])
 
 
-def random_weight_equivalence_check(count: int, seed: int,
-                                    qubit_budget: int = 12) -> float:
+def random_weight_equivalence_check(count: int, seed: int) -> float:
     """Max relative deviation between configuration and ancilla-register weights."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -432,7 +432,7 @@ def random_weight_equivalence_check(count: int, seed: int,
             beta=float(rng.uniform(0.1, 2.0)),
         )
         terms = active_terms(spec)
-        length = int(rng.integers(0, qubit_budget - n_sites + 1))
+        length = int(rng.integers(0, ORACLE_QUBIT_BUDGET - n_sites + 1))
         string = [terms[int(rng.integers(len(terms)))] for _ in range(length)]
         alpha = tuple(int(b) for b in rng.integers(0, 2, size=n_sites))
         basis = _random_basis(rng, n_sites)
@@ -503,8 +503,7 @@ def _cmd_ed(args: argparse.Namespace) -> int:
 
 
 def _cmd_contract_check(args: argparse.Namespace) -> int:
-    worst = random_contraction_check(args.count, args.seed,
-                                     max_sites=args.max_sites, max_len=args.max_len)
+    worst = random_contraction_check(args.count, args.seed, max_sites=args.max_sites)
     ok = worst <= CHECK_TOLERANCE
     print(f"contract-check: {args.count} strings, max deviation {worst:.3e} "
           f"({'PASS' if ok else 'FAIL'} at {CHECK_TOLERANCE:g})")
@@ -551,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("--count", type=int, default=1000)
     p_cc.add_argument("--seed", type=int, default=7)
     p_cc.add_argument("--max-sites", type=int, default=7)
-    p_cc.add_argument("--max-len", type=int, default=8)
     p_cc.set_defaults(func=_cmd_contract_check)
 
     p_oc = sub.add_parser("oracle-check", help="direct vs ancilla-register weights")

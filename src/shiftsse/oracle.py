@@ -16,12 +16,15 @@ the literal 2^(N+n) statevector, no shortcuts.
 
 brute_force_partition enumerates every (label, string) configuration up
 to a string-length cap and forms Z = sum W and Z' = sum |W|, giving the
-exact average sign Z/Z' on micro instances. Strings are walked as a
-prefix tree over the distinct term matrices (terms with identical
-matrices contribute a multiplicity), with dense operator products
-carried down the tree; this shares nothing with the statevector kernel.
-The neglected tail is bounded by sum_{n>cap} (beta*t*w_max)^n/n! times
-the number of labels, with w_max a per-term operator-norm bound.
+exact average sign Z/Z' on micro instances. Terms whose dense matrices
+are identical are grouped, each group contributing a multiplicity.
+Strings are walked as a prefix tree in batches: a stack holds batches of
+real dense prefix products with their multiplicities, each batch yields
+its diagonal contributions in the basis in one einsum and its children
+in one batched matmul, and BATCH_LIMIT bounds the products in a batch.
+This shares nothing with the statevector kernel. The neglected tail is
+bounded by sum_{n>cap} (beta*t*w_max)^n/n! times the number of labels,
+with w_max a per-term operator-norm bound.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .statevec import BasisChoice
 __all__ = ["ancilla_weight", "brute_force_partition"]
 
 ANCILLA_QUBIT_LIMIT = 16
+
+# Most prefix products brute_force_partition multiplies in one batch.
+BATCH_LIMIT = 4096
 
 
 def _poisson_factor(beta: float, n: int) -> float:
@@ -103,21 +109,6 @@ def _basis_matrix(basis: BasisChoice, n_sites: int) -> np.ndarray:
     return mat
 
 
-def _distinct_term_groups(model: ModelSpec) -> list[tuple]:
-    """Active terms grouped by identical dense matrix, with multiplicities."""
-    groups: dict[tuple, list] = {}
-    for term in active_terms(model):
-        key = (
-            frozenset(term.sites(model.n_sites)),
-            term.flavor,
-            term.coupling,
-            term.shift,
-            term.sign,
-        )
-        groups.setdefault(key, []).append(term)
-    return [(members[0], len(members)) for members in groups.values()]
-
-
 def _tail_sum(x: float, n_max: int) -> float:
     """sum_{n > n_max} x^n / n! by forward recursion from the first term."""
     if x == 0.0:
@@ -137,31 +128,32 @@ def brute_force_partition(model: ModelSpec, basis: BasisChoice,
                           n_max: int) -> tuple[float, float, float]:
     """Exact (Z, Z', tail_bound) over all configurations with order <= n_max.
 
-    Feasibility scales as (distinct terms)^n_max; intended for chains of
-    two or three sites. The tail bound covers both sums.
+    Feasibility scales as (distinct term matrices)^n_max; intended for
+    chains of two or three sites. The tail bound covers both sums.
     """
     n_sites = model.n_sites
     dim = 2 ** n_sites
-    groups = _distinct_term_groups(model)
-    term_mats = [(term_matrix(t, n_sites), mult) for t, mult in groups]
+    terms = active_terms(model)
+    term_mats, counts = np.unique([term_matrix(t, n_sites) for t in terms],
+                                  axis=0, return_counts=True)
     basis_mat = _basis_matrix(basis, n_sites)
-    poisson = [_poisson_factor(model.beta, n) for n in range(n_max + 1)]
 
-    totals = [0.0, 0.0]  # Z, Z'
-
-    def visit(product: np.ndarray, depth: int, multiplicity: float) -> None:
-        diag = np.einsum("ia,ij,ja->a", basis_mat.conj(), product, basis_mat)
-        contributions = poisson[depth] * multiplicity * diag.real
-        totals[0] += float(np.sum(contributions))
-        totals[1] += float(np.sum(np.abs(contributions)))
+    z = z_abs = 0.0
+    stack = [(0, np.eye(dim)[None], np.ones(1))]
+    while stack:
+        depth, products, mults = stack.pop()
+        diag = np.einsum("ia,kij,ja->ka", basis_mat.conj(), products, basis_mat).real
+        contributions = _poisson_factor(model.beta, depth) * mults[:, None] * diag
+        z += float(np.sum(contributions))
+        z_abs += float(np.sum(np.abs(contributions)))
         if depth == n_max:
-            return
-        for mat, mult in term_mats:
-            visit(mat @ product, depth + 1, multiplicity * mult)
+            continue
+        children = np.matmul(term_mats[:, None], products).reshape(-1, dim, dim)
+        child_mults = np.outer(counts, mults).reshape(-1)
+        for lo in range(0, len(children), BATCH_LIMIT):
+            stack.append((depth + 1, children[lo:lo + BATCH_LIMIT],
+                          child_mults[lo:lo + BATCH_LIMIT]))
 
-    visit(np.eye(dim, dtype=complex), 0, 1.0)
-
-    t_count = len(active_terms(model))
-    w_max = max(t.operator_norm_bound() for t in active_terms(model))
-    tail_bound = dim * _tail_sum(model.beta * t_count * w_max, n_max)
-    return totals[0], totals[1], tail_bound
+    w_max = max(t.operator_norm_bound() for t in terms)
+    tail_bound = dim * _tail_sum(model.beta * len(terms) * w_max, n_max)
+    return z, z_abs, tail_bound

@@ -49,7 +49,7 @@ def m_grid_rows():
 
 def test_01_direct_vs_ancilla_register_weights():
     started = time.monotonic()
-    worst = random_weight_equivalence_check(count=500, seed=101, qubit_budget=12)
+    worst = random_weight_equivalence_check(count=500, seed=101)
     elapsed = time.monotonic() - started
     assert worst <= 1e-10
     assert elapsed < 60.0
@@ -62,7 +62,7 @@ def test_02_contraction_exactness():
     from shiftsse.model import BondTerm, PauliFlavor
 
     started = time.monotonic()
-    worst = random_contraction_check(count=1000, seed=102, max_sites=4, max_len=8)
+    worst = random_contraction_check(count=1000, seed=102, max_sites=4)
     elapsed = time.monotonic() - started
     assert worst <= 1e-10
 

@@ -17,6 +17,7 @@ from shiftsse.harness import (
     CampaignSpec,
     RunConfig,
     _build_run_config,
+    _git_revision,
     apply_axis,
     build_parser,
     campaign,
@@ -244,6 +245,20 @@ class TestCampaign:
         sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert sidecar["git_revision"] == "unknown"
 
+    def test_git_revision_marks_uncommitted_changes(self, tmp_path, monkeypatch):
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=test", "-c",
+               "user.email=test@example.invalid", "-c", "commit.gpgsign=false"]
+        (tmp_path / "tracked.txt").write_text("committed\n")
+        for args in (["init", "-q"], ["add", "tracked.txt"], ["commit", "-q", "-m", "one"]):
+            subprocess.run([*git, *args], check=True, capture_output=True)
+        head = subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        # _git_revision asks git about the directory its module lives in
+        monkeypatch.setattr("shiftsse.harness.__file__", str(tmp_path / "harness.py"))
+        assert _git_revision() == head
+        (tmp_path / "tracked.txt").write_text("changed\n")
+        assert _git_revision() == head + "-dirty"
+
 
 class TestConfigFile:
     """The flags of run and campaign: one per RunConfig field."""
@@ -442,13 +457,12 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["contract-check", "--count", "-5"], "count must be at least 1, got -5"),
         (["contract-check", "--count", "0"], "count must be at least 1, got 0"),
-        (["contract-check", "--max-len", "-1"], "max_len must be at least 0, got -1"),
         (["contract-check", "--max-sites", "1"], "max_sites must lie in [2, 12], got 1"),
         (["contract-check", "--max-sites", "13"], "max_sites must lie in [2, 12], got 13"),
         (["oracle-check", "--count", "0"], "count must be at least 1, got 0"),
         (["oracle-check", "--count", "-5"], "count must be at least 1, got -5"),
-    ], ids=["contract-count-neg", "contract-count-0", "contract-len-neg",
-            "contract-sites-1", "contract-sites-13", "oracle-count-0", "oracle-count-neg"])
+    ], ids=["contract-count-neg", "contract-count-0", "contract-sites-1",
+            "contract-sites-13", "oracle-count-0", "oracle-count-neg"])
     def test_self_checks_reject_empty_or_oversized_ranges(self, monkeypatch, capsys,
                                                           argv, message):
         def no_draw(*args, **kwargs):

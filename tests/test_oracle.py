@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -101,17 +102,19 @@ class TestBruteForce:
         z2, zp2, _ = brute_force_partition(afflicted, one_site, n_max=16)
         assert z2 == pytest.approx(zp2, abs=1e-10)
 
-    def test_agrees_with_direct_enumeration(self):
-        # tiny instance, explicit sum over index strings via the sampler
-        # weight as an independent route
-        model = spec(delta=0.0, beta=0.6)
-        basis = tilted_basis(2)
-        n_max = 10
+    @pytest.mark.parametrize("model, basis, n_max", [
+        (spec(delta=0.0, beta=0.6), tilted_basis(2), 10),
+        (spec(m_x=0.4, m_z=0.4, beta=0.25), tilted_basis(2), 6),
+        (spec(n=3, delta=0.7, m_x=0.6, m_z=0.8, beta=0.4), tilted_basis(3, sites=(0, 2)), 3),
+    ], ids=["commuting", "n2-sign-problem", "n3-sign-problem"])
+    def test_agrees_with_direct_enumeration(self, model, basis, n_max):
+        # tiny instances, explicit sum over index strings via the sampler
+        # weight as an independent route; the last two have Z < Z', one
+        # with coinciding term matrices (N = 2) and one without (N = 3)
         terms = active_terms(model)
         z_direct = 0.0
         zp_direct = 0.0
-        import itertools
-        for bits in itertools.product((0, 1), repeat=2):
+        for bits in itertools.product((0, 1), repeat=model.n_sites):
             for n in range(n_max + 1):
                 for ids in itertools.product(range(len(terms)), repeat=n):
                     w = weight_of(bits, [terms[i] for i in ids], model, basis)
