@@ -1,7 +1,8 @@
 """Sign-reweighted observable estimation with binned error analysis.
 
-Samples arrive as (sign, order) pairs, one per sweep. The accumulator
-keeps fixed-count bin sums, whose totals are the run totals, so that
+Samples arrive as (sign, order) pairs, one per sweep, and fill N_BINS
+fixed bins in arrival order. The bin sums total the run, and `energy`
+turns them into
 
   <sgn>  : mean of signs, stderr from the spread of bin means
   <n>    : reweighted ratio sum(n*sgn)/sum(sgn), stderr by jackknife
@@ -28,20 +29,12 @@ from .model import ModelSpec
 
 __all__ = [
     "RunAccumulators",
-    "Estimate",
     "EnergyEstimate",
-    "average_sign",
     "energy",
 ]
 
-DEFAULT_BINS = 20
+N_BINS = 20
 UNRELIABLE_SIGN_SIGMAS = 3.0
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -60,54 +53,30 @@ class EnergyEstimate:
 class RunAccumulators:
     """Bin sums of sign and order*sign, filled in arrival order."""
 
-    def __init__(self, n_bins: int = DEFAULT_BINS, expected_samples: int = 0):
-        if n_bins < 2:
-            raise ValueError(f"need at least 2 bins, got {n_bins}")
-        self.n_bins = n_bins
+    def __init__(self, expected_samples: int):
         self.expected_samples = expected_samples
         self.count = 0
-        self.bin_count = np.zeros(n_bins, dtype=np.int64)
-        self.bin_sign = np.zeros(n_bins)
-        self.bin_order_sign = np.zeros(n_bins)
+        self.bin_count = np.zeros(N_BINS, dtype=np.int64)
+        self.bin_sign = np.zeros(N_BINS)
+        self.bin_order_sign = np.zeros(N_BINS)
 
     def add(self, sign: int, order: int) -> None:
         """Record one sweep sample; samples fill bins in arrival order."""
         if sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {sign}")
         total = max(self.expected_samples, 1)
-        idx = min(self.n_bins - 1, self.count * self.n_bins // total)
+        idx = min(N_BINS - 1, self.count * N_BINS // total)
         self.count += 1
         self.bin_count[idx] += 1
         self.bin_sign[idx] += sign
         self.bin_order_sign[idx] += order * sign
 
     def absorb(self, other: "RunAccumulators") -> None:
-        if other.n_bins != self.n_bins:
-            raise ValueError("cannot merge accumulators with different bin counts")
         self.expected_samples += other.expected_samples
         self.count += other.count
         self.bin_count += other.bin_count
         self.bin_sign += other.bin_sign
         self.bin_order_sign += other.bin_order_sign
-
-
-def _require_filled_bins(acc: RunAccumulators) -> None:
-    if acc.count == 0:
-        raise ValueError("no samples accumulated")
-    if acc.count < acc.n_bins or np.any(acc.bin_count == 0):
-        raise ValueError(
-            f"need at least one sample per bin ({acc.n_bins} bins, {acc.count} samples)"
-        )
-
-
-def average_sign(acc: RunAccumulators) -> Estimate:
-    """Mean sign with the standard error of bin means."""
-    _require_filled_bins(acc)
-    value = float(np.sum(acc.bin_sign)) / acc.count
-    means = acc.bin_sign / acc.bin_count
-    b = acc.n_bins
-    stderr = float(np.sqrt(np.sum((means - np.mean(means)) ** 2) / (b * (b - 1))))
-    return Estimate(value, stderr)
 
 
 def _jackknife_ratio(num_bins: np.ndarray, den_bins: np.ndarray) -> tuple[float, float]:
@@ -128,20 +97,27 @@ def _jackknife_ratio(num_bins: np.ndarray, den_bins: np.ndarray) -> tuple[float,
 def energy(acc: RunAccumulators, model: ModelSpec) -> EnergyEstimate:
     """Sign-reweighted energy -<n>/beta + offset with jackknife errors.
 
-    When all signs are +1 the ratio collapses to the plain mean of the
-    order and the offset term restores the shifted constants exactly.
-    A vanishing sign average yields NaN value/error with reliable=False;
-    the raw sign statistics are still attached.
+    The mean sign carries the standard error of the bin means. When all
+    signs are +1 the ratio collapses to the plain mean of the order and
+    the offset term restores the shifted constants exactly. A vanishing
+    sign average yields NaN value/error with reliable=False; the raw
+    sign statistics are still attached.
     """
-    _require_filled_bins(acc)
-    sign_est = average_sign(acc)
+    if np.any(acc.bin_count == 0):
+        raise ValueError(
+            f"need at least one sample per bin ({N_BINS} bins, {acc.count} samples)"
+        )
+    sign_value = float(np.sum(acc.bin_sign)) / acc.count
+    means = acc.bin_sign / acc.bin_count
+    spread = np.sum((means - np.mean(means)) ** 2)
+    sign_stderr = float(np.sqrt(spread / (N_BINS * (N_BINS - 1))))
     order_value, order_stderr = _jackknife_ratio(acc.bin_order_sign, acc.bin_sign)
     value = -order_value / model.beta + model.energy_offset
     stderr = order_stderr / model.beta
     reliable = (
         np.isfinite(value)
         and np.isfinite(stderr)
-        and abs(sign_est.value) >= UNRELIABLE_SIGN_SIGMAS * sign_est.stderr
+        and abs(sign_value) >= UNRELIABLE_SIGN_SIGMAS * sign_stderr
     )
     return EnergyEstimate(
         value=float(value),
@@ -149,7 +125,6 @@ def energy(acc: RunAccumulators, model: ModelSpec) -> EnergyEstimate:
         reliable=bool(reliable),
         order_value=float(order_value),
         order_stderr=float(order_stderr),
-        sign_value=sign_est.value,
-        sign_stderr=sign_est.stderr,
+        sign_value=sign_value,
+        sign_stderr=sign_stderr,
     )
-

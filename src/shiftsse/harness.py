@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ed
 from .contraction import contract
-from .estimators import DEFAULT_BINS, energy
+from .estimators import N_BINS, energy
 from .model import DENSE_SITE_LIMIT, BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
@@ -216,9 +216,9 @@ def run(config: RunConfig) -> ResultRecord:
     """
     spec = config.model_spec()
     for total, warmup in config.chain_schedule():
-        if total - warmup < DEFAULT_BINS:
+        if total - warmup < N_BINS:
             raise ValueError(
-                f"each chain must keep at least {DEFAULT_BINS} samples; "
+                f"each chain must keep at least {N_BINS} samples; "
                 f"got {total - warmup} (sweeps={config.sweeps}, chains={config.chains})"
             )
     e_ref = ed.thermal_energy(spec)

@@ -153,6 +153,8 @@ def bond_operator_matrix(site: int, flavor: PauliFlavor, n_sites: int) -> np.nda
 
 def term_matrix(term: BondTerm, n_sites: int) -> np.ndarray:
     """Dense matrix coupling*(shift*I + sign*O_b) of one bond term."""
+    if term.site >= n_sites:
+        raise ValueError(f"term on site {term.site} does not fit {n_sites} qubits")
     dim = 2 ** n_sites
     ob = bond_operator_matrix(term.site, term.flavor, n_sites)
     return term.coupling * (term.shift * np.eye(dim) + term.sign * ob)

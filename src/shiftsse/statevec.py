@@ -78,6 +78,8 @@ class BasisChoice:
         us = np.asarray(unitaries, dtype=complex)
         if us.ndim == 2:
             us = us[None, :, :]
+        if len(us) == 0:
+            raise ValueError("rotated basis needs at least one 2x2 rotation")
         for u in us:
             _check_unitary(u)
         return cls(tuple(_as_tuple(u) for u in us))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from shiftsse.estimators import RunAccumulators, average_sign
+from shiftsse.estimators import energy
 from shiftsse.harness import (
     CampaignSpec,
     RunConfig,
@@ -141,15 +141,16 @@ def test_05_micro_average_sign_matches_exhaustive_ratio():
     assert exact < 0.95  # genuinely sign-afflicted
 
     plan = SweepPlan.default(2)
-    merged = RunAccumulators(n_bins=20, expected_samples=4500)
-    for k in range(4):
-        acc, _ = run_chain(model, basis, plan, rng_stream(51, stream=k),
-                           sweeps=5000, warmup_sweeps=500)
-        merged.absorb(acc)
-    est = average_sign(merged)
-    z_score = abs(est.value - exact) / est.stderr
-    assert z_score <= 3.0, f"sampled {est.value:.5f}+-{est.stderr:.5f} vs exact {exact:.5f}"
-    _announce(5, f"<sgn> sampled {est.value:.4f}+-{est.stderr:.4f} vs exhaustive "
+    accs = [run_chain(model, basis, plan, rng_stream(51, stream=k),
+                      sweeps=5000, warmup_sweeps=500)[0] for k in range(4)]
+    merged = accs[0]
+    for extra in accs[1:]:
+        merged.absorb(extra)
+    est = energy(merged, model)
+    sign, sign_err = est.sign_value, est.sign_stderr
+    z_score = abs(sign - exact) / sign_err
+    assert z_score <= 3.0, f"sampled {sign:.5f}+-{sign_err:.5f} vs exact {exact:.5f}"
+    _announce(5, f"<sgn> sampled {sign:.4f}+-{sign_err:.4f} vs exhaustive "
                  f"{exact:.4f} ({z_score:.2f} sigma), tail {tail:.1e}")
 
 

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from shiftsse.estimators import RunAccumulators, average_sign, energy
+from shiftsse.estimators import RunAccumulators, energy
 from shiftsse.model import ModelSpec
 
 
-def filled(samples, n_bins=20):
-    acc = RunAccumulators(n_bins=n_bins, expected_samples=len(samples))
+def filled(samples):
+    acc = RunAccumulators(expected_samples=len(samples))
     for sign, order in samples:
         acc.add(sign, order)
     return acc
 
 
-def merge(*accs):
-    """Fresh accumulator that has absorbed each of `accs` in turn."""
-    out = RunAccumulators(accs[0].n_bins)
-    for acc in accs:
-        out.absorb(acc)
-    return out
+def merge(first, *rest):
+    """`first` after absorbing each of `rest` in turn, as harness.run merges chains."""
+    for acc in rest:
+        first.absorb(acc)
+    return first
 
 
 def spec(beta=0.5):
@@ -26,23 +25,27 @@ def spec(beta=0.5):
 
 class TestAverageSign:
     def test_all_positive(self):
-        est = average_sign(filled([(1, 0)] * 200))
-        assert est.value == pytest.approx(1.0)
-        assert est.stderr == pytest.approx(0.0)
+        est = energy(filled([(1, 0)] * 200), spec())
+        assert est.sign_value == pytest.approx(1.0)
+        assert est.sign_stderr == pytest.approx(0.0)
 
     def test_alternating(self):
-        est = average_sign(filled([(1, 0), (-1, 0)] * 100))
-        assert est.value == pytest.approx(0.0)
+        est = energy(filled([(1, 0), (-1, 0)] * 100), spec())
+        assert est.sign_value == pytest.approx(0.0)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            average_sign(filled([(1, 0)] * 5))
+        with pytest.raises(ValueError, match="one sample per bin"):
+            energy(filled([(1, 0)] * 5), spec())
+
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match=r"\(20 bins, 0 samples\)"):
+            energy(RunAccumulators(expected_samples=10), spec())
 
     def test_stderr_scale(self, rng):
         # iid random signs: stderr should approximate 1/sqrt(count)
         signs = rng.choice([-1, 1], size=4000)
-        est = average_sign(filled([(int(s), 0) for s in signs]))
-        assert est.stderr == pytest.approx(1.0 / np.sqrt(4000), rel=0.4)
+        est = energy(filled([(int(s), 0) for s in signs]), spec())
+        assert est.sign_stderr == pytest.approx(1.0 / np.sqrt(4000), rel=0.4)
 
 
 class TestEnergy:
@@ -80,40 +83,37 @@ class TestEnergy:
 
 class TestMerge:
     def test_monoid_laws(self, rng):
-        def random_acc():
-            samples = [(int(rng.choice([-1, 1])), int(rng.integers(0, 9)))
-                       for _ in range(60)]
-            return filled(samples, n_bins=4)
+        def random_samples():
+            return [(int(rng.choice([-1, 1])), int(rng.integers(0, 9)))
+                    for _ in range(60)]
 
-        a, b, c = random_acc(), random_acc(), random_acc()
+        # merge absorbs into its first argument, so each side gets fresh copies
+        a, b, c = random_samples(), random_samples(), random_samples()
 
         def key(acc):
             return (acc.count, tuple(acc.bin_count), tuple(acc.bin_sign),
                     tuple(acc.bin_order_sign))
 
-        assert key(merge(merge(a, b), c)) == key(merge(a, merge(b, c)))
-        assert key(merge(a, b)) == key(merge(b, a))
-
-    def test_bin_count_mismatch(self):
-        with pytest.raises(ValueError):
-            merge(RunAccumulators(4, 10), RunAccumulators(8, 10))
+        assert (key(merge(merge(filled(a), filled(b)), filled(c)))
+                == key(merge(filled(a), merge(filled(b), filled(c)))))
+        assert key(merge(filled(a), filled(b))) == key(merge(filled(b), filled(a)))
 
     def test_merged_estimates_pool_samples(self, rng):
-        a = filled([(1, 2)] * 100, n_bins=5)
-        b = filled([(1, 4)] * 100, n_bins=5)
+        a = filled([(1, 2)] * 100)
+        b = filled([(1, 4)] * 100)
         est = energy(merge(a, b), spec(beta=1.0))
         assert est.order_value == pytest.approx(3.0)
 
 
 class TestAccumulatorValidation:
     def test_rejects_bad_sign(self):
-        acc = RunAccumulators(4, 10)
+        acc = RunAccumulators(expected_samples=10)
         with pytest.raises(ValueError):
             acc.add(0, 3)
 
     def test_bins_partition_in_order(self):
-        acc = RunAccumulators(4, 8)
-        for i in range(8):
+        acc = RunAccumulators(expected_samples=40)
+        for i in range(40):
             acc.add(1, i)
-        assert list(acc.bin_count) == [2, 2, 2, 2]
-        assert list(acc.bin_order_sign) == [1, 5, 9, 13]
+        assert list(acc.bin_count) == [2] * 20
+        assert list(acc.bin_order_sign) == [4 * k + 1 for k in range(20)]

@@ -106,6 +106,12 @@ class TestTermMatrix:
             np.testing.assert_allclose(term_matrix(term, n),
                                        dense_term(term, n).real, atol=1e-13)
 
+    def test_site_out_of_range(self):
+        # site 5 does not exist on a 3-site chain; the bond must not wrap onto site 0
+        term = BondTerm(5, PauliFlavor.ZZ, 1.0, 1.0, -1)
+        with pytest.raises(ValueError, match="does not fit 3 qubits"):
+            term_matrix(term, 3)
+
 
 class TestDenseHamiltonian:
     def test_two_site_spectrum(self):

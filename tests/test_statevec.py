@@ -66,6 +66,12 @@ class TestPrepare:
         with pytest.raises(ValueError):
             BasisChoice.rotated(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    def test_rejects_empty_rotation_list(self):
+        # an empty list must not fall through to the plain Z basis
+        for empty in ([], np.zeros((0, 2, 2))):
+            with pytest.raises(ValueError, match="at least one 2x2 rotation"):
+                BasisChoice.rotated(empty)
+
     def test_per_site_length_mismatch(self):
         basis = BasisChoice.rotated([np.eye(2), default_rotation()])
         with pytest.raises(ValueError):
