@@ -74,7 +74,7 @@ def commute_adjacent(a: BondTerm, b: BondTerm, n_sites: int) -> bool:
     return shared != 1
 
 
-def merge_same_bond(a: BondTerm, b: BondTerm) -> tuple[float, BondTerm]:
+def merge_same_bond(a: BondTerm, b: BondTerm, n_sites: int) -> tuple[float, BondTerm]:
     """Fuse two same-bond same-flavor same-sign factors into one.
 
     (M1 + s*O)(M2 + s*O) = (M1*M2 + 1) + (M1 + M2)*s*O since O^2 = I, so
@@ -82,8 +82,8 @@ def merge_same_bond(a: BondTerm, b: BondTerm) -> tuple[float, BondTerm]:
     with couplings and (M1 + M2) pulled out front. Holds for either
     flavor. Shift positivity guarantees M1 + M2 > 0.
     """
-    if a.flavor is not b.flavor or a.sign != b.sign:
-        raise ValueError("merge requires matching flavor and sign")
+    if not _same_family(a, b, n_sites):
+        raise ValueError("merge requires matching bond, flavor and sign")
     m1, m2 = a.shift, b.shift
     factor = a.coupling * b.coupling * (m1 + m2)
     merged = BondTerm(a.site, a.flavor, 1.0, (m1 * m2 + 1.0) / (m1 + m2), a.sign)
@@ -133,7 +133,7 @@ def _push(out: list[BondTerm], t: BondTerm, n_sites: int) -> float:
         r = out[j]
         if _same_family(r, t, n_sites):
             if mid_pos < 0:
-                factor, merged = merge_same_bond(r, t)
+                factor, merged = merge_same_bond(r, t, n_sites)
                 del out[j]
                 # merged shares t's commutation profile, so rescanning from
                 # the end is safe and lets contractions cascade

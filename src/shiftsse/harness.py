@@ -35,8 +35,8 @@ import numpy as np
 from . import ed
 from .contraction import contract
 from .estimators import N_BINS, energy
-from .model import DENSE_SITE_LIMIT, BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
-from .oracle import ancilla_weight
+from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
+from .oracle import ANCILLA_QUBIT_LIMIT, ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
 from .statevec import BasisChoice
 
@@ -360,8 +360,9 @@ def _git_revision() -> str:
 CHECK_TOLERANCE = 1e-10
 # Longest string random_contraction_check draws.
 CONTRACTION_MAX_LEN = 8
-# System plus ancilla qubits bounding random_weight_equivalence_check's registers.
-ORACLE_QUBIT_BUDGET = 12
+# Both checks draw chains of 2 to CHECK_MAX_SITES sites, the size of the
+# benchmark's chain workload.
+CHECK_MAX_SITES = 7
 
 
 def random_bond_term(rng: np.random.Generator, n_sites: int) -> BondTerm:
@@ -380,16 +381,12 @@ def _dense_product(string: list[BondTerm], n_sites: int) -> np.ndarray:
     return out
 
 
-def random_contraction_check(count: int, seed: int, max_sites: int = 4) -> float:
+def random_contraction_check(count: int, seed: int) -> float:
     """Max relative deviation of prefactor*contracted vs original products."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if not 2 <= max_sites <= DENSE_SITE_LIMIT:
-        raise ValueError(f"max_sites must lie in [2, {DENSE_SITE_LIMIT}], got {max_sites}")
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(count):
-        n_sites = int(rng.integers(2, max_sites + 1))
+        n_sites = int(rng.integers(2, CHECK_MAX_SITES + 1))
         length = int(rng.integers(0, CONTRACTION_MAX_LEN + 1))
         string = [random_bond_term(rng, n_sites) for _ in range(length)]
         original = _dense_product(string, n_sites)
@@ -416,13 +413,12 @@ def _random_basis(rng: np.random.Generator, n_sites: int) -> BasisChoice:
 
 
 def random_weight_equivalence_check(count: int, seed: int) -> float:
-    """Max relative deviation between configuration and ancilla-register weights."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    """Max relative deviation between configuration and ancilla-register
+    weights; system plus ancilla qubits stay within ANCILLA_QUBIT_LIMIT."""
     rng = rng_stream(seed)
     worst = 0.0
     for _ in range(count):
-        n_sites = int(rng.integers(2, 6))
+        n_sites = int(rng.integers(2, CHECK_MAX_SITES + 1))
         delta = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 1.0))
         spec = ModelSpec(
             n_sites=n_sites,
@@ -432,7 +428,7 @@ def random_weight_equivalence_check(count: int, seed: int) -> float:
             beta=float(rng.uniform(0.1, 2.0)),
         )
         terms = active_terms(spec)
-        length = int(rng.integers(0, ORACLE_QUBIT_BUDGET - n_sites + 1))
+        length = int(rng.integers(0, ANCILLA_QUBIT_LIMIT - n_sites + 1))
         string = [terms[int(rng.integers(len(terms)))] for _ in range(length)]
         alpha = tuple(int(b) for b in rng.integers(0, 2, size=n_sites))
         basis = _random_basis(rng, n_sites)
@@ -502,18 +498,12 @@ def _cmd_ed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_contract_check(args: argparse.Namespace) -> int:
-    worst = random_contraction_check(args.count, args.seed, max_sites=args.max_sites)
+def _cmd_check(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
+    worst = args.check(args.count, args.seed)
     ok = worst <= CHECK_TOLERANCE
-    print(f"contract-check: {args.count} strings, max deviation {worst:.3e} "
-          f"({'PASS' if ok else 'FAIL'} at {CHECK_TOLERANCE:g})")
-    return 0 if ok else 1
-
-
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    worst = random_weight_equivalence_check(args.count, args.seed)
-    ok = worst <= CHECK_TOLERANCE
-    print(f"oracle-check: {args.count} configurations, max deviation {worst:.3e} "
+    print(f"{args.command}: {args.count} {args.noun}, max deviation {worst:.3e} "
           f"({'PASS' if ok else 'FAIL'} at {CHECK_TOLERANCE:g})")
     return 0 if ok else 1
 
@@ -549,13 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc = sub.add_parser("contract-check", help="randomized contraction exactness")
     p_cc.add_argument("--count", type=int, default=1000)
     p_cc.add_argument("--seed", type=int, default=7)
-    p_cc.add_argument("--max-sites", type=int, default=7)
-    p_cc.set_defaults(func=_cmd_contract_check)
+    p_cc.set_defaults(func=_cmd_check, check=random_contraction_check, noun="strings")
 
     p_oc = sub.add_parser("oracle-check", help="direct vs ancilla-register weights")
     p_oc.add_argument("--count", type=int, default=500)
     p_oc.add_argument("--seed", type=int, default=11)
-    p_oc.set_defaults(func=_cmd_oracle_check)
+    p_oc.set_defaults(func=_cmd_check, check=random_weight_equivalence_check,
+                      noun="configurations")
 
     return parser
 

@@ -108,6 +108,8 @@ class Configuration:
                  "_kernels", "_left", "_right", "_move")
 
     def __init__(self, alpha: tuple[int, ...], string, model: ModelSpec, basis: BasisChoice):
+        if len(alpha) != model.n_sites or not set(alpha) <= {0, 1}:
+            raise ValueError(f"label must be {model.n_sites} bits of 0 or 1, got {alpha}")
         self._model = model
         self._basis = basis
         self._string = list(string)
@@ -182,6 +184,9 @@ class Configuration:
     def splice(self, pos: int, cut: int, term=None) -> float:
         """W with the `cut` operators at `pos` replaced by `term`, or by
         nothing when `term` is None: <R_{pos+cut}|H_term|L_pos>."""
+        if not 0 <= pos <= pos + cut <= len(self._string):
+            raise ValueError(f"cannot cut {cut} operators at position {pos} "
+                             f"of a string of order {len(self._string)}")
         ket = self._left_at(pos)
         terms, kernels = [], []
         if term is not None:

@@ -83,10 +83,10 @@ def tilted_basis(n_sites, sites=(0,)):
     return BasisChoice.rotated(rotations)
 
 
-def random_term(rng, n_sites, unit_shift_prob=0.5, mixed_signs=True):
+def random_term(rng, n_sites):
     flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
-    shift = 1.0 if rng.random() < unit_shift_prob else float(rng.uniform(0.2, 2.5))
-    sign = -1 if (not mixed_signs or rng.random() < 0.5) else 1
+    shift = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 2.5))
+    sign = -1 if rng.random() < 0.5 else 1
     return BondTerm(int(rng.integers(n_sites)), flavor,
                     float(rng.uniform(0.25, 1.5)), shift, sign)
 

@@ -62,7 +62,7 @@ def test_02_contraction_exactness():
     from shiftsse.model import BondTerm, PauliFlavor
 
     started = time.monotonic()
-    worst = random_contraction_check(count=1000, seed=102, max_sites=4)
+    worst = random_contraction_check(count=1000, seed=102)
     elapsed = time.monotonic() - started
     assert worst <= 1e-10
 
@@ -70,6 +70,7 @@ def test_02_contraction_exactness():
     factor, merged = merge_same_bond(
         BondTerm(0, PauliFlavor.ZZ, 1.0, 1.0, -1),
         BondTerm(0, PauliFlavor.ZZ, 1.0, 3.0, -1),
+        5,
     )
     assert factor == pytest.approx(4.0) and merged.shift == pytest.approx(1.0)
     bread = BondTerm(2, PauliFlavor.ZZ, 1.0, 1.0, -1)

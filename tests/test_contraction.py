@@ -60,7 +60,7 @@ class TestMerge:
         (2.0, 2.0, 4.0, 1.25),
     ])
     def test_values(self, m1, m2, factor, shift):
-        got_factor, merged = merge_same_bond(zz(shift=m1), zz(shift=m2))
+        got_factor, merged = merge_same_bond(zz(shift=m1), zz(shift=m2), 4)
         assert got_factor == pytest.approx(factor)
         assert merged.shift == pytest.approx(shift)
         assert merged.coupling == 1.0
@@ -75,16 +75,26 @@ class TestMerge:
                          float(rng.uniform(0.2, 2.5)), sign)
             b = BondTerm(site, flavor, float(rng.uniform(0.3, 1.5)),
                          float(rng.uniform(0.2, 2.5)), sign)
-            factor, merged = merge_same_bond(a, b)
+            factor, merged = merge_same_bond(a, b, n)
             lhs = dense_term(b, n) @ dense_term(a, n)
             rhs = factor * dense_term(merged, n)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_mixed_flavor_or_sign(self):
         with pytest.raises(ValueError):
-            merge_same_bond(zz(0), xx(0))
+            merge_same_bond(zz(0), xx(0), 4)
         with pytest.raises(ValueError):
-            merge_same_bond(zz(0, sign=-1), zz(0, sign=+1))
+            merge_same_bond(zz(0, sign=-1), zz(0, sign=+1), 4)
+        # bonds (0,1) and (2,3): the merged factor was off by 4.0 (max abs)
+        with pytest.raises(ValueError):
+            merge_same_bond(zz(0), zz(2), 4)
+
+    def test_same_pair_merges_at_two_sites(self):
+        # N = 2: bonds (0,1) and (1,0) cover the same pair
+        a, b = zz(0, shift=0.7), zz(1, shift=1.9)
+        factor, merged = merge_same_bond(a, b, 2)
+        np.testing.assert_allclose(dense_term(b, 2) @ dense_term(a, 2),
+                                   factor * dense_term(merged, 2), atol=1e-12)
 
 
 class TestSandwich:

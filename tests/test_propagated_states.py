@@ -186,3 +186,21 @@ def test_order_zero_weighs_exactly_one():
         assert single.splice(0, 1) == 1.0
         single.accept()
         assert single.weight_value == 1.0
+
+
+def test_splice_rejects_positions_outside_the_string():
+    # three ZZ terms on bond 0 weigh 4/3; accepting splice(3, 1) used to
+    # cache W = 4, and splice(-1, 1) grew the string to order 5
+    model = ModelSpec(n_sites=3, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
+    basis = BasisChoice.z_product()
+    term = active_terms(model)[0]
+    config = Configuration((1, 0, 0), [term] * 3, model, basis)
+    assert config.weight_value == pytest.approx(4.0 / 3.0)
+    for pos, cut in ((3, 1), (-1, 1), (4, 0), (0, 4), (1, -1)):
+        with pytest.raises(ValueError, match="cannot cut"):
+            config.splice(pos, cut, term)
+    # the edges themselves stay valid
+    assert_weight(config.splice(3, 0, term), (1, 0, 0), [term] * 4, model, basis)
+    assert_weight(config.splice(0, 3), (1, 0, 0), [], model, basis)
+    config.accept()
+    assert config.order == 0 and config.weight_value == 1.0

@@ -42,6 +42,14 @@ class TestWeight:
         assert weight_of((1, 0), [], model, basis) == 1.0
         assert Configuration((1, 0), [], model, basis).weight_value == 1.0
 
+    @pytest.mark.parametrize("bits, term_ids", [
+        ((0, 1, 1), []), ((0, 1, 1), [0]), ((0,), []), ((0, 2), []), ((0, 2), [0]),
+    ], ids=["three-bits", "three-bits-term", "one-bit", "bit-2", "bit-2-term"])
+    def test_rejects_label_that_is_not_n_bits(self, bits, term_ids):
+        # a 3-bit label on N = 2 used to weigh 1.0 with an empty string
+        with pytest.raises(ValueError, match="label must be 2 bits of 0 or 1"):
+            config_for(spec(), bits, term_ids, BasisChoice.z_product())
+
     def test_single_bond_anti_aligned(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()
