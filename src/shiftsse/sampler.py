@@ -41,11 +41,14 @@ operators at position p and put in at most one term t, for one bond
 application and one inner product, <R_{p+k}|H_t|L_p>. A replacement is
 k = 1 with a term, an insertion k = 0 and a removal k = 1 without one.
 Both lists are extended lazily. A label flip propagates fresh states
-for the proposed label. The proposal methods return the proposed
-weight, and `accept` applies the last proposal with its weight, keeping
-the states it does not invalidate. `weight_of` is the from-scratch
-weight of any pair: it builds a fresh `Configuration`. Every update
-decides through the one rule `acceptance`.
+only for a label not yet weighed on the current string: the
+configuration keeps the weight of every label it propagated since the
+string last changed, so flipping back to a label costs no bond
+application. The proposal methods return the proposed weight, and
+`accept` applies the last proposal with its weight, keeping the states
+it does not invalidate. `weight_of` is the from-scratch weight of any
+pair: it builds a fresh `Configuration`. Every update decides through
+the one rule `acceptance`.
 
 String lengths are unbounded; there is no truncation anywhere.
 """
@@ -97,6 +100,8 @@ class Configuration:
     Counting right states from the end of the string keeps them valid
     when a move changes the length in front of them. `_kernels` holds the
     bond kernel of each string operator, so propagation looks none up.
+    `_label_weights` maps each label `relabel` propagated on the current
+    string to the weight it found; a splice clears it.
 
     Every field is read-only. `relabel` and `splice` return the signed
     weight of a proposed configuration and remember the move; `accept`
@@ -105,15 +110,14 @@ class Configuration:
     """
 
     __slots__ = ("_alpha", "_string", "_model", "_basis", "_weight",
-                 "_kernels", "_left", "_right", "_move")
+                 "_kernels", "_left", "_right", "_move", "_label_weights")
 
     def __init__(self, alpha: tuple[int, ...], string, model: ModelSpec, basis: BasisChoice):
-        if len(alpha) != model.n_sites or not set(alpha) <= {0, 1}:
-            raise ValueError(f"label must be {model.n_sites} bits of 0 or 1, got {alpha}")
         self._model = model
         self._basis = basis
         self._string = list(string)
         self._kernels = [bond_kernel(term, model.n_sites) for term in self._string]
+        self._label_weights = {}
         self.relabel(alpha)
         self.accept()
 
@@ -173,11 +177,22 @@ class Configuration:
         return poisson * float(np.vdot(bra, ket).real)
 
     def relabel(self, alpha: tuple[int, ...]) -> float:
-        """W with the label replaced by `alpha`: <alpha|L_n>, propagated afresh."""
+        """W with the label replaced by `alpha`: <alpha|L_n>, propagated
+        unless this string already weighed `alpha`. A remembered weight
+        leaves the left states to be refilled lazily if accepted."""
+        weight = self._label_weights.get(alpha)
+        if weight is not None:
+            left = [prepare(alpha, self._basis).amps]
+            self._move = (Configuration._adopt, (alpha, left), weight)
+            return weight
+        n_sites = self._model.n_sites
+        if len(alpha) != n_sites or not set(alpha) <= {0, 1}:
+            raise ValueError(f"label must be {n_sites} bits of 0 or 1, got {alpha}")
         left = [prepare(alpha, self._basis).amps]
         for kernel in self._kernels:
             left.append(kernel(left[-1]))
         weight = self._weight_at(len(self._kernels), left[0], left[-1])
+        self._label_weights[alpha] = weight
         self._move = (Configuration._adopt, (alpha, left), weight)
         return weight
 
@@ -218,6 +233,7 @@ class Configuration:
         term went in.
         """
         n = len(self._string)
+        self._label_weights.clear()
         del self._left[pos + 1:]
         if terms:
             self._left.append(ket)

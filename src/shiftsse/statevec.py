@@ -1,10 +1,13 @@
 """Product-state preparation and the per-term bond kernel.
 
-`prepare` builds |alpha> as a dense complex product state, and
-`bond_kernel` maps a dense vector through one shifted bond term
+`prepare` builds |alpha> as a dense product state, and `bond_kernel`
+maps a dense vector through one shifted bond term
 coupling*(shift*I + sign*O). Shifted terms are not unitary and in
 general branch a basis state into a superposition; the dense vector
-tracks this exactly. The sampler's `Configuration` turns strings into
+tracks this exactly. In the plain Z basis the vectors are float64: the
+bond factors are real, so the kernels keep them real, and each element
+equals the real part of the complex computation bit for bit. Rotated
+bases use complex128. The sampler's `Configuration` turns strings into
 weights with these two pieces.
 
 Basis states are product states: plain Z eigenstates (a BasisChoice with
@@ -105,7 +108,7 @@ class StateVector:
 
 
 # 256 labels hold every label up to N = 8; past that the cache stays at
-# 256 vectors of 2^N complex amplitudes instead of all 2^N of them.
+# 256 vectors of 2^N amplitudes instead of all 2^N of them.
 @lru_cache(maxsize=256)
 def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:
     n = len(bits)
@@ -114,12 +117,15 @@ def _prepared_amps(bits: tuple[int, ...], basis: BasisChoice) -> np.ndarray:
         col = basis.qubit_unitary(q, n)[:, bits[q]]
         # qubit q toggles with stride 2^q: new index = bit_q * 2^q + old
         amps = (col[:, None] * amps[None, :]).reshape(-1)
+    if not basis.unitaries:
+        amps = amps.real.copy()
     amps.setflags(write=False)
     return amps
 
 
 def prepare(bits: tuple[int, ...], basis: BasisChoice) -> StateVector:
-    """Product state tensor_i U_i |bit_i>; a unit-norm vector."""
+    """Product state tensor_i U_i |bit_i>; a unit-norm vector, float64 in
+    the plain Z basis and complex128 otherwise."""
     return StateVector(_prepared_amps(bits, basis))
 
 

@@ -4,7 +4,8 @@ Each test prints a single PASS line with its headline numbers so a plain
 `pytest -v -s tests/test_acceptance.py` reads as a checklist. Statistical
 criteria run the standard measurement protocol (20,000 sweeps split over
 4 seeded chains, 10% warmup) and are pinned to seeds verified to pass
-with comfortable margins.
+with comfortable margins. They run their chains on two worker processes,
+which give the same bytes as one.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ def _announce(number, detail):
 def m_grid_rows():
     """Joint-shift scan at N=3, T=2, rotated basis; shared by two criteria."""
     base = RunConfig(n_sites=3, delta=1.0, temperature=2.0, basis="rotated",
-                     sweeps=20000, chains=4, seed=11)
+                     sweeps=20000, chains=4, seed=11, workers=2)
     spec = CampaignSpec(axis="m_joint", grid=(0.1, 0.5, 1.0, 1.5, 2.0, 2.5),
                         base=base)
     rows = campaign(spec)
@@ -92,7 +93,7 @@ class TestSignFreeLimits:
     def test_03a_commuting_limit_rotated_basis(self):
         rec = run(RunConfig(n_sites=3, delta=0.0, m_x=1.0, m_z=1.0,
                             temperature=2.0, basis="rotated", sweeps=20000,
-                            chains=4, warmup_fraction=0.0, seed=31))
+                            chains=4, warmup_fraction=0.0, seed=31, workers=2))
         assert rec.avg_sign == 1.0
         assert rec.avg_sign_err == 0.0
         _announce("3a", "delta=0, unit z-shift, rotated basis: 20000/20000 "
@@ -102,7 +103,7 @@ class TestSignFreeLimits:
     def test_03b_even_chains_plain_basis(self, n):
         rec = run(RunConfig(n_sites=n, delta=1.0, temperature=2.0, basis="z",
                             sweeps=20000, chains=4, warmup_fraction=0.0,
-                            seed=32))
+                            seed=32, workers=2))
         assert rec.avg_sign == 1.0
         assert rec.avg_sign_err == 0.0
         _announce("3b", f"N={n} plain-z basis: 20000/20000 signs positive")
@@ -118,7 +119,7 @@ class TestSignFreeLimits:
 ])
 def test_04_energy_matches_exact_diagonalization(n, delta, basis, temperature):
     rec = run(RunConfig(n_sites=n, delta=delta, temperature=temperature,
-                        basis=basis, sweeps=20000, chains=4, seed=41))
+                        basis=basis, sweeps=20000, chains=4, seed=41, workers=2))
     assert rec.avg_sign == 1.0  # sign-free settings
     z_score = abs(rec.energy - rec.energy_ed) / rec.energy_err
     assert z_score <= 3.0, (
@@ -183,7 +184,7 @@ def test_06_shift_scan_trends(m_grid_rows):
 
 def test_07_even_odd_size_oscillation():
     base = RunConfig(delta=1.0, m_x=1.0, m_z=1.0, temperature=2.0,
-                     basis="rotated", sweeps=20000, chains=4, seed=23)
+                     basis="rotated", sweeps=20000, chains=4, seed=23, workers=2)
     results = {}
     for n in (4, 5, 6, 7):
         rec = run(dataclasses.replace(base, n_sites=n))

@@ -4,7 +4,9 @@ The updates read every proposal weight from the configuration's cached
 left/right states; `weight_of` recomputes from the prepared vector. These
 tests drive the real update functions and compare after every call, probe
 each edge slot of the states directly, and pin that the chain state
-cannot be reassigned from outside and computes its own weight.
+cannot be reassigned from outside and computes its own weight. A
+counting shim around `bond_kernel` pins that a label already weighed on
+the current string is not propagated again.
 """
 
 import itertools
@@ -204,3 +206,79 @@ def test_splice_rejects_positions_outside_the_string():
     assert_weight(config.splice(0, 3), (1, 0, 0), [], model, basis)
     config.accept()
     assert config.order == 0 and config.weight_value == 1.0
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count every bond-kernel application of configurations built afterwards."""
+    from shiftsse import sampler
+
+    calls = [0]
+    real = sampler.bond_kernel
+
+    def counting(term, n_qubits):
+        kernel = real(term, n_qubits)
+
+        def counted(amps):
+            calls[0] += 1
+            return kernel(amps)
+        return counted
+
+    monkeypatch.setattr(sampler, "bond_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("basis_name", ["z", "rotated"])
+def test_label_weights_are_remembered_until_the_string_changes(kernel_calls, basis_name):
+    model = ModelSpec(n_sites=4, delta=0.7, m_x=0.6, m_z=1.3, beta=1.5)
+    basis = bases(4, seed=6)[basis_name]
+    terms = active_terms(model)
+    string = [terms[i % len(terms)] for i in (0, 5, 2, 7, 1, 4, 3)]
+    config = Configuration((1, 0, 0, 1), string, model, basis)
+    flipped = (0, 0, 0, 1)
+
+    # the first proposal of a label propagates the whole string, a repeat none
+    kernel_calls[0] = 0
+    first = config.relabel(flipped)
+    assert kernel_calls[0] == len(string)
+    assert first == weight_of(flipped, string, model, basis)
+    kernel_calls[0] = 0
+    assert config.relabel(flipped) == first
+    assert config.relabel((1, 0, 0, 1)) == config.weight_value
+    assert kernel_calls[0] == 0
+
+    # an accepted splice changes the string and forgets every label
+    config.splice(2, 1, terms[6])
+    config.accept()
+    kernel_calls[0] = 0
+    again = config.relabel(flipped)
+    assert kernel_calls[0] == config.order
+    assert again == weight_of(flipped, config.string, model, basis)
+
+
+@pytest.mark.parametrize("basis_name", ["z", "rotated", "random"])
+def test_accepted_remembered_label_refills_its_states(kernel_calls, basis_name):
+    model = ModelSpec(n_sites=4, delta=0.9, m_x=0.8, m_z=1.1, beta=1.3)
+    basis = bases(4, seed=7)[basis_name]
+    terms = active_terms(model)
+    string = [terms[i % len(terms)] for i in (3, 0, 6, 2, 5, 1)]
+    config = Configuration((0, 1, 1, 0), string, model, basis)
+    flipped = (0, 1, 0, 0)
+    config.relabel(flipped)
+    config.relabel((0, 1, 1, 0))
+    kernel_calls[0] = 0
+    weight = config.relabel(flipped)
+    assert kernel_calls[0] == 0
+    config.accept()
+    assert config.alpha == flipped and config.weight_value == weight
+    assert_coherent(config, model, basis)
+    # every split reads left and right states refilled from |flipped>
+    n = config.order
+    for pos in range(n):
+        assert_weight(config.splice(pos, 1, terms[pos]), flipped,
+                      string[:pos] + [terms[pos]] + string[pos + 1:], model, basis)
+    for slot in (0, n // 2, n):
+        assert_weight(config.splice(slot, 0, terms[-1]), flipped,
+                      string[:slot] + [terms[-1]] + string[slot:], model, basis)
+    config.accept()
+    assert_coherent(config, model, basis)

@@ -50,6 +50,18 @@ class TestWeight:
         with pytest.raises(ValueError, match="label must be 2 bits of 0 or 1"):
             config_for(spec(), bits, term_ids, BasisChoice.z_product())
 
+    @pytest.mark.parametrize("bits", [(0, 1), (0, 1, 0, 1, 1), (0, 2, 1)],
+                             ids=["two-bits", "five-bits", "bit-2"])
+    def test_relabel_rejects_label_that_is_not_n_bits(self, bits):
+        # at order 0 both wrong lengths used to weigh 1.0, and accept()
+        # installed a label that update_alpha then flipped bits of
+        config = config_for(spec(n=3), (0, 1, 0), [], BasisChoice.z_product())
+        with pytest.raises(ValueError, match="label must be 3 bits of 0 or 1"):
+            config.relabel(bits)
+        # the rejected label was not remembered either
+        with pytest.raises(ValueError, match="label must be 3 bits of 0 or 1"):
+            config.relabel(bits)
+
     def test_single_bond_anti_aligned(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()

@@ -38,13 +38,36 @@ RUN_PINS = {
 }
 
 
-@pytest.mark.parametrize("basis", sorted(RUN_PINS))
-def test_run_record_is_pinned(basis):
-    record = run(RunConfig(n_sites=3, sweeps=2000, chains=2, seed=4, basis=basis)).as_dict()
-    pins = RUN_PINS[basis]
+# At delta = M = 1 every z-basis amplitude is an integer, so the pins
+# above cannot see a change in the order of a floating-point sum. This
+# point has non-integer amplitudes and a sign problem (<sgn> = 0.58).
+NON_DYADIC_CONFIG = RunConfig(n_sites=6, delta=0.3, m_x=0.3, m_z=0.7, sweeps=1000,
+                              chains=2, seed=5, basis="z")
+NON_DYADIC_PINS = {
+    "avg_sign": 0.58,
+    "avg_sign_err": 0.03505391030439892,
+    "energy": -3.0377777777777784,
+    "energy_err": 0.36830028243458607,
+    "avg_order": 3.888888888888889,
+    "avg_order_err": 0.18415014121729303,
+}
+
+
+def assert_pinned(config, pins):
+    record = run(config).as_dict()
     assert record["avg_sign"] == pins["avg_sign"]
     for name, value in pins.items():
         assert record[name] == pytest.approx(value, rel=RTOL), name
+
+
+@pytest.mark.parametrize("basis", sorted(RUN_PINS))
+def test_run_record_is_pinned(basis):
+    assert_pinned(RunConfig(n_sites=3, sweeps=2000, chains=2, seed=4, basis=basis),
+                  RUN_PINS[basis])
+
+
+def test_non_dyadic_z_run_is_pinned():
+    assert_pinned(NON_DYADIC_CONFIG, NON_DYADIC_PINS)
 
 
 def test_long_chain_is_pinned():

@@ -36,6 +36,10 @@ class TestPrepare:
         st = prepare((1, 0), BasisChoice.z_product())
         np.testing.assert_allclose(st.amps, [0, 1, 0, 0], atol=0)
 
+    def test_z_basis_amplitudes_are_real(self):
+        assert prepare((1, 0, 1), BasisChoice.z_product()).amps.dtype == np.float64
+        assert prepare((1, 0, 1), BasisChoice.rotated()).amps.dtype == np.complex128
+
     def test_no_unitaries_is_z_basis(self):
         assert BasisChoice.z_product() == BasisChoice()
         np.testing.assert_array_equal(BasisChoice().qubit_unitary(1, 3), np.eye(2))
@@ -112,6 +116,21 @@ class TestApplyTerm:
         a, b = 0.7 - 0.2j, -1.3 + 0.5j
         np.testing.assert_allclose(kernel(a * u + b * v), a * kernel(u) + b * kernel(v),
                                    atol=1e-12)
+
+    def test_real_kernels_match_complex_bit_for_bit(self, rng):
+        # the float64 Z-basis path stays real and is the real part of the
+        # complex one, so no z-basis amplitude the sampler computes moves
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            real = prepare(bits, BasisChoice.z_product()).amps
+            cplx = real.astype(complex)
+            for _ in range(12):
+                kernel = bond_kernel(random_term(rng, n), n)
+                real, cplx = kernel(real), kernel(cplx)
+            assert real.dtype == np.float64
+            np.testing.assert_array_equal(real, cplx.real)
+            assert not cplx.imag.any()
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
