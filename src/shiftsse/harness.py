@@ -19,16 +19,15 @@ RUN_OPTIONS and the RunConfig and ResultRecord dataclasses.
 
 from __future__ import annotations
 
-import argparse
-import csv
+# argparse, csv, subprocess and the process pool are imported where they
+# are used, so a library `run` loads none of them.
 import dataclasses
 import json
 import math
-import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +38,9 @@ from .model import BondTerm, ModelSpec, PauliFlavor, active_terms, term_matrix
 from .oracle import ANCILLA_QUBIT_LIMIT, ancilla_weight
 from .sampler import Configuration, SweepPlan, rng_stream, run_chain
 from .statevec import BasisChoice
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "RunConfig",
@@ -224,6 +226,8 @@ def run(config: RunConfig) -> ResultRecord:
     e_ref = ed.thermal_energy(spec)
     jobs = [(config, k) for k in range(config.chains)]
     if config.workers > 1 and config.chains > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.workers, config.chains)) as pool:
             accs = list(pool.map(_chain_worker, jobs))
     else:
@@ -317,6 +321,8 @@ def _json_safe(value):
 
 def write_campaign_csv(rows: list[dict], path: Path, spec: CampaignSpec) -> None:
     """CSV table plus a JSON sidecar with full provenance."""
+    import csv
+
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -338,6 +344,8 @@ def write_campaign_csv(rows: list[dict], path: Path, spec: CampaignSpec) -> None
 
 
 def _git_revision() -> str:
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
@@ -509,6 +517,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="shiftsse",
         description="Shifted-term series-expansion Monte Carlo for the anisotropic XY chain",

@@ -103,6 +103,11 @@ class Configuration:
     `_label_weights` maps each label `relabel` propagated on the current
     string to the weight it found; a splice clears it.
 
+    The model's constants are bound once: N, the active terms and their
+    count, which the update functions below read directly, and
+    `_poisson`, the factors beta^k/k! for every order up to one past the
+    current one, so that any proposal finds its factor in the table.
+
     Every field is read-only. `relabel` and `splice` return the signed
     weight of a proposed configuration and remember the move; `accept`
     applies the last one together with its weight. The string is never
@@ -110,13 +115,19 @@ class Configuration:
     """
 
     __slots__ = ("_alpha", "_string", "_model", "_basis", "_weight",
-                 "_kernels", "_left", "_right", "_move", "_label_weights")
+                 "_kernels", "_left", "_right", "_move", "_label_weights",
+                 "_n_sites", "_terms", "_n_active", "_poisson")
 
     def __init__(self, alpha: tuple[int, ...], string, model: ModelSpec, basis: BasisChoice):
         self._model = model
         self._basis = basis
+        self._n_sites = model.n_sites
+        self._terms = active_terms(model)
+        self._n_active = len(self._terms)
+        self._poisson = []
         self._string = list(string)
-        self._kernels = [bond_kernel(term, model.n_sites) for term in self._string]
+        self._extend_poisson(len(self._string) + 1)
+        self._kernels = [bond_kernel(term, self._n_sites) for term in self._string]
         self._label_weights = {}
         self.relabel(alpha)
         self.accept()
@@ -154,44 +165,31 @@ class Configuration:
     def basis(self) -> BasisChoice:
         return self._basis
 
-    def _left_at(self, k: int) -> np.ndarray:
-        left, kernels = self._left, self._kernels
-        while len(left) <= k:
-            left.append(kernels[len(left) - 1](left[-1]))
-        return left[k]
-
-    def _right_at(self, k: int) -> np.ndarray:
-        """R_k = H_{k+1} ... H_n |alpha>."""
-        right, kernels = self._right, self._kernels
-        n = len(kernels)
-        while len(right) <= n - k:
-            right.append(kernels[n - len(right)](right[-1]))
-        return right[n - k]
-
-    def _weight_at(self, n: int, bra: np.ndarray, ket: np.ndarray) -> float:
-        """beta^n/n! * Re <bra|ket>, the factorial through logs so any order
-        is safe; the empty string weighs exactly 1."""
-        if n == 0:
-            return 1.0
-        poisson = math.exp(n * math.log(self._model.beta) - math.lgamma(n + 1))
-        return poisson * float(np.vdot(bra, ket).real)
+    def _extend_poisson(self, n: int) -> None:
+        """Table beta^k/k! up to k = n, the factorial through logs so any
+        order is safe."""
+        poisson = self._poisson
+        while len(poisson) <= n:
+            k = len(poisson)
+            poisson.append(math.exp(k * math.log(self._model.beta) - math.lgamma(k + 1)))
 
     def relabel(self, alpha: tuple[int, ...]) -> float:
         """W with the label replaced by `alpha`: <alpha|L_n>, propagated
         unless this string already weighed `alpha`. A remembered weight
-        leaves the left states to be refilled lazily if accepted."""
+        leaves the label's states to be prepared if accepted."""
         weight = self._label_weights.get(alpha)
         if weight is not None:
-            left = [prepare(alpha, self._basis).amps]
-            self._move = (Configuration._adopt, (alpha, left), weight)
+            self._move = (Configuration._adopt, (alpha, None), weight)
             return weight
-        n_sites = self._model.n_sites
+        n_sites = self._n_sites
         if len(alpha) != n_sites or not set(alpha) <= {0, 1}:
             raise ValueError(f"label must be {n_sites} bits of 0 or 1, got {alpha}")
         left = [prepare(alpha, self._basis).amps]
         for kernel in self._kernels:
             left.append(kernel(left[-1]))
-        weight = self._weight_at(len(self._kernels), left[0], left[-1])
+        n = len(self._kernels)
+        # the empty string weighs exactly 1
+        weight = self._poisson[n] * float(np.vdot(left[0], left[-1]).real) if n else 1.0
         self._label_weights[alpha] = weight
         self._move = (Configuration._adopt, (alpha, left), weight)
         return weight
@@ -199,18 +197,26 @@ class Configuration:
     def splice(self, pos: int, cut: int, term=None) -> float:
         """W with the `cut` operators at `pos` replaced by `term`, or by
         nothing when `term` is None: <R_{pos+cut}|H_term|L_pos>."""
-        if not 0 <= pos <= pos + cut <= len(self._string):
+        n = len(self._string)
+        if not 0 <= pos <= pos + cut <= n:
             raise ValueError(f"cannot cut {cut} operators at position {pos} "
-                             f"of a string of order {len(self._string)}")
-        ket = self._left_at(pos)
-        terms, kernels = [], []
+                             f"of a string of order {n}")
+        left, right, kernels = self._left, self._right, self._kernels
+        while len(left) <= pos:
+            left.append(kernels[len(left) - 1](left[-1]))
+        back = n - pos - cut  # right[back] = R_{pos+cut}
+        while len(right) <= back:
+            right.append(kernels[n - len(right)](right[-1]))
+        ket = left[pos]
+        terms, new_kernels = [], []
         if term is not None:
-            kernel = bond_kernel(term, self._model.n_sites)
+            kernel = bond_kernel(term, self._n_sites)
             ket = kernel(ket)
-            terms, kernels = [term], [kernel]
-        n = len(self._string) - cut + len(terms)
-        weight = self._weight_at(n, self._right_at(pos + cut), ket)
-        self._move = (Configuration._splice, (pos, cut, terms, kernels, ket), weight)
+            terms, new_kernels = [term], [kernel]
+        n_new = n - cut + len(terms)
+        weight = (self._poisson[n_new] * float(np.vdot(right[back], ket).real)
+                  if n_new else 1.0)
+        self._move = (Configuration._splice, (pos, cut, terms, new_kernels, ket), weight)
         return weight
 
     def accept(self) -> None:
@@ -219,8 +225,11 @@ class Configuration:
         self._move = None
         apply(self, *args)
 
-    def _adopt(self, alpha: tuple[int, ...], left: list) -> None:
-        """Take a label with its left states; the right states restart at |alpha>."""
+    def _adopt(self, alpha: tuple[int, ...], left: list | None) -> None:
+        """Take a label with its left states, or with only |alpha> for a
+        remembered label; the right states restart at |alpha>."""
+        if left is None:
+            left = [prepare(alpha, self._basis).amps]
         self._alpha = alpha
         self._left = left
         self._right = [left[0]]
@@ -240,6 +249,7 @@ class Configuration:
         del self._right[n - pos - cut + 1:]
         self._string = self._string[:pos] + terms + self._string[pos + cut:]
         self._kernels = self._kernels[:pos] + kernels + self._kernels[pos + cut:]
+        self._extend_poisson(len(self._string) + 1)
 
 
 @dataclass(frozen=True)
@@ -308,10 +318,10 @@ def update_alpha(config: Configuration, rng: np.random.Generator) -> None:
     """
     if rng.random() < 0.5:
         return
-    q = int(rng.integers(config.model.n_sites))
-    alpha = config.alpha
+    q = int(rng.integers(config._n_sites))
+    alpha = config._alpha
     w_new = config.relabel(alpha[:q] + (alpha[q] ^ 1,) + alpha[q + 1:])
-    if rng.random() < acceptance(config.weight_value, w_new):
+    if rng.random() < acceptance(config._weight, w_new):
         config.accept()
 
 
@@ -321,35 +331,34 @@ def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> No
     Silently skipped at order 0. Self-replacements are ratio-1 moves and
     are accepted without a fresh evaluation.
     """
-    n = config.order
+    string = config._string
+    n = len(string)
     if n == 0:
         return
-    terms = active_terms(config.model)
     pos = int(rng.integers(n))
-    candidate = terms[int(rng.integers(len(terms)))]
-    if candidate == config.string[pos]:
+    candidate = config._terms[int(rng.integers(config._n_active))]
+    if candidate == string[pos]:
         return
     w_new = config.splice(pos, 1, candidate)
-    if rng.random() < acceptance(config.weight_value, w_new):
+    if rng.random() < acceptance(config._weight, w_new):
         config.accept()
 
 
 def update_insert_remove(config: Configuration, rng: np.random.Generator) -> None:
     """Grow or shrink the string by one operator (n -> n +- 1)."""
-    terms = active_terms(config.model)
-    n_active = len(terms)
-    n = config.order
+    n_active = config._n_active
+    n = len(config._string)
     if rng.random() < 0.5:
         slot = int(rng.integers(n + 1))
-        term = terms[int(rng.integers(n_active))]
+        term = config._terms[int(rng.integers(n_active))]
         w_new = config.splice(slot, 0, term)
-        accept = acceptance(config.weight_value, w_new, up=n_active)
+        accept = acceptance(config._weight, w_new, up=n_active)
     else:
         if n == 0:
             return
         pos = int(rng.integers(n))
         w_new = config.splice(pos, 1)
-        accept = acceptance(config.weight_value, w_new, down=n_active)
+        accept = acceptance(config._weight, w_new, down=n_active)
     if rng.random() < accept:
         config.accept()
 

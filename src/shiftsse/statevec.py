@@ -7,7 +7,9 @@ general branch a basis state into a superposition; the dense vector
 tracks this exactly. In the plain Z basis the vectors are float64: the
 bond factors are real, so the kernels keep them real, and each element
 equals the real part of the complex computation bit for bit. Rotated
-bases use complex128. The sampler's `Configuration` turns strings into
+bases use complex128. An XX kernel drops its multiplications by a
+coefficient of exactly -1.0 or 1.0 (delta = 1, and m_x = 1 too), with
+the same values. The sampler's `Configuration` turns strings into
 weights with these two pieces.
 
 Basis states are product states: plain Z eigenstates (a BasisChoice with
@@ -135,8 +137,15 @@ def bond_kernel(term: BondTerm, n_qubits: int) -> Callable[[np.ndarray], np.ndar
 
     O_b is Z_i Z_{i+1} or X_i X_{i+1} (periodic). Built once per
     (term, n_qubits): a ZZ term folds into one diagonal multiply, an XX
-    term into one gather and two scaled adds, so an application
+    term into one gather and at most two scaled adds, so an application
     allocates no StateVector and recomputes no constant.
+
+    An XX coefficient of exactly -1.0 (flip) or 1.0 (identity) is folded
+    into a subtraction at build time: 1.0*x = x and x + (-1.0)*y = x - y
+    in IEEE arithmetic, so every float64 amplitude is unchanged bit for
+    bit, zero signs included. A complex128 product with (+-1 + 0j) can
+    flip the sign of a zero real or imaginary part, so there only that
+    sign may differ, and no weight or decision reads it.
     """
     if term.site >= n_qubits:
         raise ValueError(f"term on site {term.site} does not fit {n_qubits} qubits")
@@ -148,4 +157,8 @@ def bond_kernel(term: BondTerm, n_qubits: int) -> Callable[[np.ndarray], np.ndar
         return lambda amps: amps * diagonal
     partner = idx ^ ((1 << i) | (1 << j))
     identity, flip = term.coupling * term.shift, term.coupling * term.sign
+    if flip == -1.0 and identity == 1.0:
+        return lambda amps: amps - amps[partner]
+    if flip == -1.0:
+        return lambda amps: identity * amps - amps[partner]
     return lambda amps: identity * amps + flip * amps[partner]

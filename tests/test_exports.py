@@ -38,3 +38,11 @@ def test_package_root_loads_only_what_is_imported():
         "shiftsse.estimators", "shiftsse.model", "shiftsse.sampler", "shiftsse.statevec",
     ]
     assert "argparse" not in loaded
+
+
+def test_harness_import_loads_no_cli_or_pool_module():
+    # argparse, csv, subprocess and the process pool load only on the
+    # paths that use them, not for a library `run`
+    loaded = _loaded_after("import shiftsse.harness")
+    assert [m for m in ("argparse", "csv", "subprocess", "concurrent.futures")
+            if m in loaded] == []

@@ -137,7 +137,7 @@ class TestRun:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr("shiftsse.harness.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         record = run(RunConfig(**FAST, workers=8))
         assert asked == [FAST["chains"]]
         assert record.as_dict() == run(RunConfig(**FAST)).as_dict()

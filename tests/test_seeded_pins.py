@@ -53,6 +53,21 @@ NON_DYADIC_PINS = {
 }
 
 
+# At delta = 1 every XX factor's flip coefficient is exactly -1.0, and at
+# m_x = 0.5 its identity coefficient is 0.5, not 1.0: this rotated point
+# runs the XX kernel that keeps one scaled term and folds the flip.
+HALF_SHIFT_CONFIG = RunConfig(n_sites=4, delta=1.0, m_x=0.5, m_z=0.5, sweeps=1000,
+                              chains=2, seed=6, basis="rotated")
+HALF_SHIFT_PINS = {
+    "avg_sign": 0.6666666666666666,
+    "avg_sign_err": 0.0363758447682232,
+    "energy": -3.5266666666666664,
+    "energy_err": 0.40001709243343286,
+    "avg_order": 3.763333333333333,
+    "avg_order_err": 0.20000854621671643,
+}
+
+
 def assert_pinned(config, pins):
     record = run(config).as_dict()
     assert record["avg_sign"] == pins["avg_sign"]
@@ -68,6 +83,10 @@ def test_run_record_is_pinned(basis):
 
 def test_non_dyadic_z_run_is_pinned():
     assert_pinned(NON_DYADIC_CONFIG, NON_DYADIC_PINS)
+
+
+def test_half_shift_rotated_run_is_pinned():
+    assert_pinned(HALF_SHIFT_CONFIG, HALF_SHIFT_PINS)
 
 
 def test_long_chain_is_pinned():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftsse.model import BondTerm, ModelSpec, PauliFlavor
+from shiftsse.model import BondTerm, ModelSpec, PauliFlavor, active_terms
 from shiftsse.sampler import Configuration
 from shiftsse.statevec import (
     BasisChoice,
@@ -131,6 +131,39 @@ class TestApplyTerm:
             assert real.dtype == np.float64
             np.testing.assert_array_equal(real, cplx.real)
             assert not cplx.imag.any()
+
+    @pytest.mark.parametrize("basis_name", ["z", "rotated"])
+    def test_folded_xx_kernels_equal_the_general_expression(self, rng, basis_name):
+        # At delta = 1 every XX flip coefficient is exactly -1.0, and at
+        # M = 1 every identity coefficient is 1.0; the kernel folds them
+        # into a subtraction. delta = 0.3 is the unfolded control. States
+        # are the ones a chain builds: a prepared label pushed through
+        # random active terms, so the z basis holds zeros of either sign.
+        basis = BasisChoice.z_product() if basis_name == "z" else BasisChoice.rotated()
+        for n in range(2, 8):
+            idx = np.arange(2 ** n)
+            for delta, shift in ((1.0, 0.5), (1.0, 1.0), (0.3, 1.0)):
+                model = ModelSpec(n_sites=n, delta=delta, m_x=shift, m_z=shift, beta=1.0)
+                terms = active_terms(model)
+                xx_terms = [t for t in terms if t.flavor is PauliFlavor.XX]
+                assert all((t.coupling * t.sign == -1.0) == (delta == 1.0) for t in xx_terms)
+                amps = prepare(tuple(int(b) for b in rng.integers(0, 2, size=n)), basis).amps
+                for _ in range(12):
+                    for term in xx_terms:
+                        mask = (1 << term.site) | (1 << (term.site + 1) % n)
+                        general = (term.coupling * term.shift * amps
+                                   + term.coupling * term.sign * amps[idx ^ mask])
+                        out = bond_kernel(term, n)(amps)
+                        if basis_name == "z":
+                            assert np.array_equal(out, general)
+                            assert np.array_equal(np.signbit(out), np.signbit(general))
+                        else:
+                            # a complex product with (+-1 + 0j) can flip the
+                            # sign of a zero real or imaginary part, which
+                            # no weight reads; every value is equal
+                            assert (out == general).all()
+                    out = bond_kernel(terms[int(rng.integers(len(terms)))], n)(amps)
+                    amps = out if out.any() else prepare((0,) * n, basis).amps
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
