@@ -74,7 +74,7 @@ def _controlled_term(state: np.ndarray, site: int, flavor: PauliFlavor, sign: in
 def ancilla_weight(config, model: ModelSpec, basis: BasisChoice) -> float:
     """Configuration weight via the ancilla-register construction."""
     n_sys = model.n_sites
-    string = list(config.string)
+    string = config.string
     n = len(string)
     total = n_sys + n
     if total > ANCILLA_QUBIT_LIMIT:

@@ -30,9 +30,10 @@ respect to |W| holds exactly and is enforced by an enumerated
 transition-matrix test.
 
 The chain state is one `Configuration`: it binds the model and the
-basis once, and its label, string and weight cannot be reassigned from
-outside. Weights come from propagated states, the standard SSE
-technique (Sandvik, PRB 59, R14157 (1999)). A configuration holds the
+basis once, its label, string and weight cannot be reassigned from
+outside, and it keeps the string once, each term with its bond kernel;
+`string` hands out a copy. Weights come from propagated states, the
+standard SSE technique (Sandvik, PRB 59, R14157 (1999)). It holds the
 left states L_k = H_k ... H_1 |alpha> and the right states
 R_k = H_{k+1} ... H_n |alpha>; every bond factor is real symmetric, so
 <alpha| H_n ... H_{k+1} = R_k^dagger and W is proportional to
@@ -40,15 +41,14 @@ Re <R_k|L_k> at any split k. Every string move is one splice: cut k
 operators at position p and put in at most one term t, for one bond
 application and one inner product, <R_{p+k}|H_t|L_p>. A replacement is
 k = 1 with a term, an insertion k = 0 and a removal k = 1 without one.
-Both lists are extended lazily. A label flip propagates fresh states
-only for a label not yet weighed on the current string: the
+Both state lists are extended lazily. A label flip propagates fresh
+states only for a label not yet weighed on the current string: the
 configuration keeps the weight of every label it propagated since the
 string last changed, so flipping back to a label costs no bond
-application. The proposal methods return the proposed weight, and
-`accept` applies the last proposal with its weight, keeping the states
-it does not invalidate. `weight_of` is the from-scratch weight of any
-pair: it builds a fresh `Configuration`. Every update decides through
-the one rule `acceptance`.
+application. Proposals return their weight, and `accept` applies the
+last one, keeping the states it does not invalidate. `weight_of` weighs
+any pair from scratch in a fresh `Configuration`. Every update decides
+through the one rule `acceptance`.
 
 String lengths are unbounded; there is no truncation anywhere.
 """
@@ -98,8 +98,8 @@ class Configuration:
     left[k] = L_k = H_k ... H_1 |alpha> and right[j] = R_{n-j} =
     H_{n-j+1} ... H_n |alpha>, each a valid prefix extended on demand.
     Counting right states from the end of the string keeps them valid
-    when a move changes the length in front of them. `_kernels` holds the
-    bond kernel of each string operator, so propagation looks none up.
+    when a move changes the length in front of them. `_ops` pairs each
+    string operator with its bond kernel, so propagation looks none up.
     `_label_weights` maps each label `relabel` propagated on the current
     string to the weight it found; a splice clears it.
 
@@ -110,12 +110,12 @@ class Configuration:
 
     Every field is read-only. `relabel` and `splice` return the signed
     weight of a proposed configuration and remember the move; `accept`
-    applies the last one together with its weight. The string is never
+    applies the last one together with its weight. `_ops` is never
     mutated in place: an accepted move builds a new list.
     """
 
-    __slots__ = ("_alpha", "_string", "_model", "_basis", "_weight",
-                 "_kernels", "_left", "_right", "_move", "_label_weights",
+    __slots__ = ("_alpha", "_ops", "_model", "_basis", "_weight",
+                 "_left", "_right", "_move", "_label_weights",
                  "_n_sites", "_terms", "_n_active", "_poisson")
 
     def __init__(self, alpha: tuple[int, ...], string, model: ModelSpec, basis: BasisChoice):
@@ -125,9 +125,8 @@ class Configuration:
         self._terms = active_terms(model)
         self._n_active = len(self._terms)
         self._poisson = []
-        self._string = list(string)
-        self._extend_poisson(len(self._string) + 1)
-        self._kernels = [bond_kernel(term, self._n_sites) for term in self._string]
+        self._ops = [(term, bond_kernel(term, self._n_sites)) for term in string]
+        self._extend_poisson(len(self._ops) + 1)
         self._label_weights = {}
         self.relabel(alpha)
         self.accept()
@@ -145,12 +144,12 @@ class Configuration:
 
     @property
     def string(self) -> list:
-        """Operator string, first entry applied first."""
-        return self._string
+        """Operator string, first entry applied first; a new list."""
+        return [term for term, _ in self._ops]
 
     @property
     def order(self) -> int:
-        return len(self._string)
+        return len(self._ops)
 
     @property
     def weight_value(self) -> float:
@@ -185,9 +184,9 @@ class Configuration:
         if len(alpha) != n_sites or not set(alpha) <= {0, 1}:
             raise ValueError(f"label must be {n_sites} bits of 0 or 1, got {alpha}")
         left = [prepare(alpha, self._basis).amps]
-        for kernel in self._kernels:
+        for _, kernel in self._ops:
             left.append(kernel(left[-1]))
-        n = len(self._kernels)
+        n = len(self._ops)
         # the empty string weighs exactly 1
         weight = self._poisson[n] * float(np.vdot(left[0], left[-1]).real) if n else 1.0
         self._label_weights[alpha] = weight
@@ -197,30 +196,32 @@ class Configuration:
     def splice(self, pos: int, cut: int, term=None) -> float:
         """W with the `cut` operators at `pos` replaced by `term`, or by
         nothing when `term` is None: <R_{pos+cut}|H_term|L_pos>."""
-        n = len(self._string)
+        n = len(self._ops)
         if not 0 <= pos <= pos + cut <= n:
             raise ValueError(f"cannot cut {cut} operators at position {pos} "
                              f"of a string of order {n}")
-        left, right, kernels = self._left, self._right, self._kernels
+        left, right, ops = self._left, self._right, self._ops
         while len(left) <= pos:
-            left.append(kernels[len(left) - 1](left[-1]))
+            left.append(ops[len(left) - 1][1](left[-1]))
         back = n - pos - cut  # right[back] = R_{pos+cut}
         while len(right) <= back:
-            right.append(kernels[n - len(right)](right[-1]))
+            right.append(ops[n - len(right)][1](right[-1]))
         ket = left[pos]
-        terms, new_kernels = [], []
+        new = []
         if term is not None:
             kernel = bond_kernel(term, self._n_sites)
             ket = kernel(ket)
-            terms, new_kernels = [term], [kernel]
-        n_new = n - cut + len(terms)
+            new = [(term, kernel)]
+        n_new = n - cut + len(new)
         weight = (self._poisson[n_new] * float(np.vdot(right[back], ket).real)
                   if n_new else 1.0)
-        self._move = (Configuration._splice, (pos, cut, terms, new_kernels, ket), weight)
+        self._move = (Configuration._splice, (pos, cut, new, ket), weight)
         return weight
 
     def accept(self) -> None:
         """Apply the last proposal and take its weight."""
+        if self._move is None:
+            raise RuntimeError("no proposal to accept: call relabel or splice first")
         apply, args, self._weight = self._move
         self._move = None
         apply(self, *args)
@@ -234,22 +235,21 @@ class Configuration:
         self._left = left
         self._right = [left[0]]
 
-    def _splice(self, pos: int, cut: int, terms: list, kernels: list, ket) -> None:
-        """Replace the `cut` operators at `pos` by `terms`.
+    def _splice(self, pos: int, cut: int, new: list, ket) -> None:
+        """Replace the `cut` operators at `pos` by the pairs `new`.
 
         Left states up to `pos` and right states behind the cut stay
         valid, and so does the proposal's left state past `pos` when a
         term went in.
         """
-        n = len(self._string)
+        ops = self._ops
         self._label_weights.clear()
         del self._left[pos + 1:]
-        if terms:
+        if new:
             self._left.append(ket)
-        del self._right[n - pos - cut + 1:]
-        self._string = self._string[:pos] + terms + self._string[pos + cut:]
-        self._kernels = self._kernels[:pos] + kernels + self._kernels[pos + cut:]
-        self._extend_poisson(len(self._string) + 1)
+        del self._right[len(ops) - pos - cut + 1:]
+        self._ops = ops[:pos] + new + ops[pos + cut:]
+        self._extend_poisson(len(self._ops) + 1)
 
 
 @dataclass(frozen=True)
@@ -331,13 +331,13 @@ def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> No
     Silently skipped at order 0. Self-replacements are ratio-1 moves and
     are accepted without a fresh evaluation.
     """
-    string = config._string
-    n = len(string)
+    ops = config._ops
+    n = len(ops)
     if n == 0:
         return
     pos = int(rng.integers(n))
     candidate = config._terms[int(rng.integers(config._n_active))]
-    if candidate == string[pos]:
+    if candidate == ops[pos][0]:
         return
     w_new = config.splice(pos, 1, candidate)
     if rng.random() < acceptance(config._weight, w_new):
@@ -347,7 +347,7 @@ def update_string_fixed_n(config: Configuration, rng: np.random.Generator) -> No
 def update_insert_remove(config: Configuration, rng: np.random.Generator) -> None:
     """Grow or shrink the string by one operator (n -> n +- 1)."""
     n_active = config._n_active
-    n = len(config._string)
+    n = len(config._ops)
     if rng.random() < 0.5:
         slot = int(rng.integers(n + 1))
         term = config._terms[int(rng.integers(n_active))]

@@ -4,9 +4,10 @@ The updates read every proposal weight from the configuration's cached
 left/right states; `weight_of` recomputes from the prepared vector. These
 tests drive the real update functions and compare after every call, probe
 each edge slot of the states directly, and pin that the chain state
-cannot be reassigned from outside and computes its own weight. A
-counting shim around `bond_kernel` pins that a label already weighed on
-the current string is not propagated again.
+cannot be reassigned or edited from outside and computes its own
+weight. A hypothesis property drives random proposal sequences against
+fresh configurations. A counting shim around `bond_kernel` pins that a
+label already weighed on the current string is not propagated again.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftsse.harness import _random_unitary
 from shiftsse.model import ModelSpec, active_terms
@@ -39,16 +42,21 @@ def assert_coherent(config, model, basis):
     assert abs(got - want) <= RTOL * abs(want), (got, want)
 
 
+def noise_floor(string, model):
+    """RTOL * beta^n/n! * prod ||H_b||, the rounding noise of a weight."""
+    return RTOL * math.prod(model.beta * t.operator_norm_bound() for t in string) \
+        / math.factorial(len(string))
+
+
 def assert_weight(got, alpha, string, model, basis):
     """A proposal weight matches a from-scratch evaluation.
 
     Proposals may be analytically zero, where both evaluations return
     rounding noise; relative error and sign are checked above the noise
-    floor RTOL * beta^n/n! * prod ||H_b||.
+    floor.
     """
     want = weight_of(alpha, string, model, basis)
-    floor = RTOL * math.prod(model.beta * t.operator_norm_bound() for t in string) \
-        / math.factorial(len(string))
+    floor = noise_floor(string, model)
     assert abs(got - want) <= max(RTOL * abs(want), floor), (got, want)
     if abs(want) > floor:
         assert np.sign(got) == np.sign(want), (got, want)
@@ -172,6 +180,96 @@ def test_chain_state_is_read_only_and_weighs_itself():
         assert by_hand.weight_value == weight_of(config.alpha, config.string, model, basis)
         drive(by_hand, rng, sweeps=3)
         assert Configuration(config.alpha, [], model, basis).weight_value == 1.0
+
+
+@pytest.mark.parametrize("basis_name", ["z", "rotated", "random"])
+def test_string_hands_out_a_copy(basis_name):
+    # appending XX_0 to the live string used to read order 3 with W still
+    # 2.0 (a fresh weight is 2/3), and the next splice(3, 0) raised IndexError
+    model = ModelSpec(n_sites=3, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
+    basis = bases(3, seed=8)[basis_name]
+    terms = active_terms(model)
+    zz0, xx0 = terms[0], terms[3]
+    config = Configuration((1, 0, 0), [zz0, zz0], model, basis)
+    weight = config.weight_value
+    if basis_name == "z":
+        assert weight == pytest.approx(2.0)
+    for edit in (lambda s: s.append(xx0), list.clear, list.reverse,
+                 lambda s: s.__setitem__(0, xx0)):
+        edit(config.string)
+        assert config.order == 2
+        assert config.weight_value == weight
+        assert config.string == [zz0, zz0]
+    assert config.string is not config.string
+    assert_weight(config.splice(2, 0, zz0), (1, 0, 0), [zz0] * 3, model, basis)
+    config.accept()
+    assert_coherent(config, model, basis)
+    config.string.reverse()
+    assert_weight(config.relabel((0, 1, 0)), (0, 1, 0), [zz0] * 3, model, basis)
+    config.accept()
+    assert_coherent(config, model, basis)
+
+
+def test_accept_without_a_proposal_raises():
+    # accept() after construction or a second accept() in a row used to
+    # raise TypeError from unpacking None
+    model = ModelSpec(n_sites=3, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
+    basis = BasisChoice.z_product()
+    term = active_terms(model)[0]
+    config = Configuration((1, 0, 0), [term] * 2, model, basis)
+    with pytest.raises(RuntimeError, match="relabel or splice"):
+        config.accept()
+    config.splice(0, 1)
+    config.accept()
+    with pytest.raises(RuntimeError, match="relabel or splice"):
+        config.accept()
+    # the state is left as the last accepted move made it
+    assert config.order == 1
+    assert_coherent(config, model, basis)
+    config.relabel((0, 1, 0))
+    config.accept()
+    assert config.alpha == (0, 1, 0)
+    assert_coherent(config, model, basis)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.data())
+def test_any_move_sequence_matches_a_fresh_configuration(data):
+    n_sites = data.draw(st.integers(2, 4), label="n_sites")
+    # delta = 0 drops the XX terms; tinier couplings push the noise floor to 0
+    delta = data.draw(st.just(0.0) | st.floats(0.05, 1.0), label="delta")
+    model = ModelSpec(n_sites=n_sites, delta=delta,
+                      m_x=data.draw(st.floats(0.05, 2.0), label="m_x"),
+                      m_z=data.draw(st.floats(0.05, 2.0), label="m_z"),
+                      beta=data.draw(st.floats(0.05, 3.0), label="beta"))
+    basis = data.draw(st.sampled_from([BasisChoice.z_product(), BasisChoice.rotated()]),
+                      label="basis")
+    terms = active_terms(model)
+    labels = st.tuples(*[st.integers(0, 1)] * n_sites)
+    # start from a chain state the real updates reached, of order 0 and up
+    config, _ = grown_config(model, basis, seed=data.draw(st.integers(0, 999), label="seed"),
+                             sweeps=data.draw(st.integers(0, 6), label="sweeps"))
+    alpha, string = config.alpha, config.string
+    for _ in range(data.draw(st.integers(0, 30), label="moves")):
+        if data.draw(st.booleans(), label="relabel"):
+            to, proposed = data.draw(labels, label="to"), string
+            weight = config.relabel(to)
+        else:
+            pos = data.draw(st.integers(0, len(string)), label="pos")
+            cut = data.draw(st.integers(0, min(2, len(string) - pos)), label="cut")
+            term = data.draw(st.sampled_from(terms) | st.none(), label="term")
+            to = alpha
+            proposed = string[:pos] + ([] if term is None else [term]) + string[pos + cut:]
+            weight = config.splice(pos, cut, term)
+        assert_weight(weight, to, proposed, model, basis)
+        if data.draw(st.booleans(), label="accept") and abs(weight) > noise_floor(proposed, model):
+            config.accept()
+            assert config.weight_value == weight
+            alpha, string = to, proposed
+        # editing the handed-out string changes nothing
+        config.string.append(terms[0])
+        assert (config.alpha, config.order, config.string) == (alpha, len(string), string)
+        assert_weight(config.weight_value, alpha, string, model, basis)
 
 
 def test_order_zero_weighs_exactly_one():
