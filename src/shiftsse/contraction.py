@@ -1,9 +1,9 @@
 """Exact rewriting of bond-term products into shorter products.
 
 Three families of operator identities drive the compression. Writing a
-shifted bond factor as (M + s*O) with O^2 = I:
+shifted bond factor as (M - O) with O^2 = I:
 
-  merge      (M1 + s*O)(M2 + s*O) = (M1 + M2) * ((M1*M2 + 1)/(M1 + M2) + s*O)
+  merge      (M1 - O)(M2 - O) = (M1 + M2) * ((M1*M2 + 1)/(M1 + M2) - O)
   commute    factors of equal flavor always commute; factors of different
              flavor commute iff their bonds share 0 or 2 sites
   sandwich   (1 - ZZ_b)(Mx - XX_c)(1 - ZZ_b) = 2*Mx * (1 - ZZ_b)
@@ -53,12 +53,8 @@ def _bond_set(term: BondTerm, n_sites: int) -> frozenset[int]:
 
 
 def _same_family(a: BondTerm, b: BondTerm, n_sites: int) -> bool:
-    """Same bond, flavor, and sign: mergeable into a single factor."""
-    return (
-        a.flavor is b.flavor
-        and a.sign == b.sign
-        and _bond_set(a, n_sites) == _bond_set(b, n_sites)
-    )
+    """Same bond and flavor: mergeable into a single factor."""
+    return a.flavor is b.flavor and _bond_set(a, n_sites) == _bond_set(b, n_sites)
 
 
 def commute_adjacent(a: BondTerm, b: BondTerm, n_sites: int) -> bool:
@@ -75,18 +71,18 @@ def commute_adjacent(a: BondTerm, b: BondTerm, n_sites: int) -> bool:
 
 
 def merge_same_bond(a: BondTerm, b: BondTerm, n_sites: int) -> tuple[float, BondTerm]:
-    """Fuse two same-bond same-flavor same-sign factors into one.
+    """Fuse two same-bond same-flavor factors into one.
 
-    (M1 + s*O)(M2 + s*O) = (M1*M2 + 1) + (M1 + M2)*s*O since O^2 = I, so
+    (M1 - O)(M2 - O) = (M1*M2 + 1) - (M1 + M2)*O since O^2 = I, so
     the merged factor carries shift (M1*M2 + 1)/(M1 + M2) and coupling 1,
     with couplings and (M1 + M2) pulled out front. Holds for either
     flavor. Shift positivity guarantees M1 + M2 > 0.
     """
     if not _same_family(a, b, n_sites):
-        raise ValueError("merge requires matching bond, flavor and sign")
+        raise ValueError("merge requires matching bond and flavor")
     m1, m2 = a.shift, b.shift
     factor = a.coupling * b.coupling * (m1 + m2)
-    merged = BondTerm(a.site, a.flavor, 1.0, (m1 * m2 + 1.0) / (m1 + m2), a.sign)
+    merged = BondTerm(a.site, a.flavor, 1.0, (m1 * m2 + 1.0) / (m1 + m2))
     return factor, merged
 
 
@@ -99,15 +95,13 @@ def sandwich_eliminate(left: BondTerm, mid: BondTerm, right: BondTerm,
     """Collapse (ZZ bread)(XX filling)(ZZ bread) into the bread alone.
 
     Applies only when both bread terms act on the same bond with shift
-    exactly 1 and matching sign, and the XX filling overlaps the bread
-    bond on a single site. Returns (factor, survivor) with factor
+    exactly 1 and the XX filling overlaps the bread bond on a single
+    site. Returns (factor, survivor) with factor
     2*shift_mid*coupling_mid*coupling_right and survivor = left, or None
     when any precondition fails (in particular for bread shifts != 1,
     where the product does not reduce to a single factor).
     """
     if not (_is_unit_shift_zz(left) and _is_unit_shift_zz(right)):
-        return None
-    if left.sign != right.sign:
         return None
     if _bond_set(left, n_sites) != _bond_set(right, n_sites):
         return None

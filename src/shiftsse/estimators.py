@@ -61,11 +61,14 @@ class RunAccumulators:
         self.bin_order_sign = np.zeros(N_BINS)
 
     def add(self, sign: int, order: int) -> None:
-        """Record one sweep sample; samples fill bins in arrival order."""
+        """Record one sweep sample; samples fill bins in arrival order, and
+        one past `expected_samples` is refused."""
         if sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {sign}")
-        total = max(self.expected_samples, 1)
-        idx = min(N_BINS - 1, self.count * N_BINS // total)
+        if self.count >= self.expected_samples:
+            raise ValueError(f"all {self.expected_samples} expected samples "
+                             "are already recorded")
+        idx = self.count * N_BINS // self.expected_samples
         self.count += 1
         self.bin_count[idx] += 1
         self.bin_sign[idx] += sign

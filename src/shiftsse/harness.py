@@ -378,8 +378,7 @@ def random_bond_term(rng: np.random.Generator, n_sites: int) -> BondTerm:
     flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
     shift = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 2.5))
     coupling = float(rng.uniform(0.25, 1.5))
-    sign = -1 if rng.random() < 0.5 else 1
-    return BondTerm(int(rng.integers(n_sites)), flavor, coupling, shift, sign)
+    return BondTerm(int(rng.integers(n_sites)), flavor, coupling, shift)
 
 
 def _dense_product(string: list[BondTerm], n_sites: int) -> np.ndarray:

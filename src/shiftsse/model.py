@@ -12,7 +12,7 @@ bond interaction is rewritten as a shifted non-negative-leaning factor
 
 so the simulator works with up to 2N bond terms of the form
 
-    coupling * (shift * I + sign * O_b),   sign = -1 for this model,
+    coupling * (shift * I - O_b),
 
 where O_b is Z_i Z_{i+1} (coupling 1, shift m_z) or X_i X_{i+1}
 (coupling delta, shift m_x). The trailing constant (m_z + delta*m_x)*N is
@@ -56,18 +56,17 @@ class PauliFlavor(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class BondTerm:
-    """One shifted bond factor coupling*(shift*I + sign*O) on (site, site+1).
+    """One shifted bond factor coupling*(shift*I - O) on (site, site+1).
 
-    coupling is |h_b| (1 for ZZ bonds, delta for XX bonds), shift the
-    positive constant added to the bond operator, sign = sgn(h_b) = -1
-    for both flavors of this antiferromagnet.
+    coupling is |h_b| (1 for ZZ bonds, delta for XX bonds) and shift the
+    positive constant added to the bond operator; the minus sign is
+    sgn(h_b) for both flavors of this antiferromagnet.
     """
 
     site: int
     flavor: PauliFlavor
     coupling: float
     shift: float
-    sign: int
 
     def __post_init__(self):
         if self.site < 0:
@@ -76,8 +75,6 @@ class BondTerm:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
         if self.shift <= 0:
             raise ValueError(f"shift must be positive, got {self.shift}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
 
     def sites(self, n_sites: int) -> tuple[int, int]:
         """Bond endpoints (site, site+1 mod N)."""
@@ -122,13 +119,12 @@ def active_terms(spec: ModelSpec) -> tuple[BondTerm, ...]:
     """The sampler's proposal set, the bond terms with nonzero coupling.
 
     N ZZ terms (coupling 1, shift m_z), then N XX terms (coupling delta,
-    shift m_x) unless delta = 0, all with sign -1. No zero-coupling term
-    is built.
+    shift m_x) unless delta = 0. No zero-coupling term is built.
     """
-    zz = tuple(BondTerm(i, PauliFlavor.ZZ, 1.0, spec.m_z, -1) for i in range(spec.n_sites))
+    zz = tuple(BondTerm(i, PauliFlavor.ZZ, 1.0, spec.m_z) for i in range(spec.n_sites))
     if spec.delta == 0.0:
         return zz
-    return zz + tuple(BondTerm(i, PauliFlavor.XX, spec.delta, spec.m_x, -1)
+    return zz + tuple(BondTerm(i, PauliFlavor.XX, spec.delta, spec.m_x)
                       for i in range(spec.n_sites))
 
 
@@ -152,12 +148,12 @@ def bond_operator_matrix(site: int, flavor: PauliFlavor, n_sites: int) -> np.nda
 
 
 def term_matrix(term: BondTerm, n_sites: int) -> np.ndarray:
-    """Dense matrix coupling*(shift*I + sign*O_b) of one bond term."""
+    """Dense matrix coupling*(shift*I - O_b) of one bond term."""
     if term.site >= n_sites:
         raise ValueError(f"term on site {term.site} does not fit {n_sites} qubits")
     dim = 2 ** n_sites
     ob = bond_operator_matrix(term.site, term.flavor, n_sites)
-    return term.coupling * (term.shift * np.eye(dim) + term.sign * ob)
+    return term.coupling * (term.shift * np.eye(dim) - ob)
 
 
 def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:

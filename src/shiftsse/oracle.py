@@ -5,9 +5,9 @@ Two cross-checks, both deliberately avoiding the fast evaluation path:
 ancilla_weight rebuilds a configuration weight on a composite register
 of N system qubits plus one ancilla per string slot. Ancilla i starts in
 sqrt(M_i/(M_i+1))|0> + sqrt(1/(M_i+1))|1>, and each bond term becomes a
-controlled unitary applying sign*O_b to the system when its ancilla is
-set. Tracing out the ancillas reproduces (M_i + sign*O_b)/(M_i+1) per
-slot, so
+controlled unitary applying -O_b to the system when its ancilla is
+set. Tracing out the ancillas reproduces (M_i - O_b)/(M_i+1) per slot,
+so
 
     W = beta^n/n! * prod_i (M_i+1)|h_i| * Re <Psi| U_{b_n}...U_{b_1} |Psi>
 
@@ -58,17 +58,17 @@ def _product_state(vectors: list[np.ndarray]) -> np.ndarray:
     return amps
 
 
-def _controlled_term(state: np.ndarray, site: int, flavor: PauliFlavor, sign: int,
+def _controlled_term(state: np.ndarray, site: int, flavor: PauliFlavor,
                      n_sys: int, anc_qubit: int) -> np.ndarray:
-    """Apply sign*O_b to the system register where ancilla anc_qubit is set."""
+    """Apply -O_b to the system register where ancilla anc_qubit is set."""
     idx = np.arange(state.size)
     anc_set = ((idx >> anc_qubit) & 1).astype(bool)
     i, j = site, (site + 1) % n_sys
     if flavor is PauliFlavor.ZZ:
         zz = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
-        return np.where(anc_set, sign * zz * state, state)
+        return np.where(anc_set, -zz * state, state)
     flipped = state[idx ^ ((1 << i) | (1 << j))]
-    return np.where(anc_set, sign * flipped, state)
+    return np.where(anc_set, -flipped, state)
 
 
 def ancilla_weight(config, model: ModelSpec, basis: BasisChoice) -> float:
@@ -92,8 +92,7 @@ def ancilla_weight(config, model: ModelSpec, basis: BasisChoice) -> float:
     psi = _product_state(vectors)
     cur = psi
     for i, term in enumerate(string):
-        cur = _controlled_term(cur, term.site, term.flavor, term.sign,
-                               n_sys, n_sys + i)
+        cur = _controlled_term(cur, term.site, term.flavor, n_sys, n_sys + i)
     amplitude = complex(np.vdot(psi, cur))
     scale = 1.0
     for term in string:

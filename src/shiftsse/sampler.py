@@ -7,7 +7,7 @@ A configuration C = (n, [b_1..b_n], alpha) carries the signed weight
 
     W(C) = beta^n / n! * Re <alpha| H_{b_n} ... H_{b_1} |alpha>,
 
-with each H_b the full shifted bond factor coupling*(shift*I + sign*O).
+with each H_b the full shifted bond factor coupling*(shift*I - O).
 The chain samples |W| and emits sgn(W) so observables can be reweighted.
 Configurations with W = 0 are excluded: proposals into them always
 reject, keeping the sign well defined.
@@ -55,7 +55,6 @@ String lengths are unbounded; there is no truncation anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +123,7 @@ class Configuration:
         self._n_sites = model.n_sites
         self._terms = active_terms(model)
         self._n_active = len(self._terms)
-        self._poisson = []
+        self._poisson = [1.0]
         self._ops = [(term, bond_kernel(term, self._n_sites)) for term in string]
         self._extend_poisson(len(self._ops) + 1)
         self._label_weights = {}
@@ -165,24 +164,25 @@ class Configuration:
         return self._basis
 
     def _extend_poisson(self, n: int) -> None:
-        """Table beta^k/k! up to k = n, the factorial through logs so any
-        order is safe."""
-        poisson = self._poisson
+        """Table beta^k/k! up to k = n, each entry beta/k times the one
+        before: no power or factorial is formed, so no order overflows,
+        and at beta = 1 the entries 1, 1 and 1/2 are exact."""
+        poisson, beta = self._poisson, self._model.beta
         while len(poisson) <= n:
-            k = len(poisson)
-            poisson.append(math.exp(k * math.log(self._model.beta) - math.lgamma(k + 1)))
+            poisson.append(poisson[-1] * beta / len(poisson))
 
     def relabel(self, alpha: tuple[int, ...]) -> float:
         """W with the label replaced by `alpha`: <alpha|L_n>, propagated
         unless this string already weighed `alpha`. A remembered weight
         leaves the label's states to be prepared if accepted."""
+        n_sites = self._n_sites
+        if type(alpha) is not tuple or len(alpha) != n_sites or not set(alpha) <= {0, 1}:
+            raise ValueError(f"label must be {n_sites} bits of 0 or 1 in a tuple, "
+                             f"got {alpha!r}")
         weight = self._label_weights.get(alpha)
         if weight is not None:
             self._move = (Configuration._adopt, (alpha, None), weight)
             return weight
-        n_sites = self._n_sites
-        if len(alpha) != n_sites or not set(alpha) <= {0, 1}:
-            raise ValueError(f"label must be {n_sites} bits of 0 or 1, got {alpha}")
         left = [prepare(alpha, self._basis).amps]
         for _, kernel in self._ops:
             left.append(kernel(left[-1]))
@@ -385,8 +385,9 @@ def run_chain(model: ModelSpec, basis: BasisChoice, plan: SweepPlan,
     chains with distinct rng streams can run concurrently and merge
     their accumulators afterwards.
     """
-    if warmup_sweeps >= sweeps:
-        raise ValueError(f"warmup ({warmup_sweeps}) must be below sweeps ({sweeps})")
+    if not 0 <= warmup_sweeps < sweeps:
+        raise ValueError(f"warmup ({warmup_sweeps}) must be non-negative and "
+                         f"below sweeps ({sweeps})")
     config = Configuration.initial(model, basis, rng)
     acc = RunAccumulators(expected_samples=sweeps - warmup_sweeps)
     for i in range(sweeps):

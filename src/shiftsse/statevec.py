@@ -2,14 +2,14 @@
 
 `prepare` builds |alpha> as a dense product state, and `bond_kernel`
 maps a dense vector through one shifted bond term
-coupling*(shift*I + sign*O). Shifted terms are not unitary and in
+coupling*(shift*I - O). Shifted terms are not unitary and in
 general branch a basis state into a superposition; the dense vector
 tracks this exactly. In the plain Z basis the vectors are float64: the
 bond factors are real, so the kernels keep them real, and each element
 equals the real part of the complex computation bit for bit. Rotated
 bases use complex128. An XX kernel drops its multiplications by a
-coefficient of exactly -1.0 or 1.0 (delta = 1, and m_x = 1 too), with
-the same values. The sampler's `Configuration` turns strings into
+coefficient of exactly 1.0 (delta = 1, and m_x = 1 too), with the same
+values. The sampler's `Configuration` turns strings into
 weights with these two pieces.
 
 Basis states are product states: plain Z eigenstates (a BasisChoice with
@@ -133,19 +133,19 @@ def prepare(bits: tuple[int, ...], basis: BasisChoice) -> StateVector:
 
 @lru_cache(maxsize=None)
 def bond_kernel(term: BondTerm, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Raw-array map psi -> coupling*(shift*psi + sign*O_b psi) for one term.
+    """Raw-array map psi -> coupling*(shift*psi - O_b psi) for one term.
 
     O_b is Z_i Z_{i+1} or X_i X_{i+1} (periodic). Built once per
     (term, n_qubits): a ZZ term folds into one diagonal multiply, an XX
     term into one gather and at most two scaled adds, so an application
     allocates no StateVector and recomputes no constant.
 
-    An XX coefficient of exactly -1.0 (flip) or 1.0 (identity) is folded
-    into a subtraction at build time: 1.0*x = x and x + (-1.0)*y = x - y
-    in IEEE arithmetic, so every float64 amplitude is unchanged bit for
-    bit, zero signs included. A complex128 product with (+-1 + 0j) can
-    flip the sign of a zero real or imaginary part, so there only that
-    sign may differ, and no weight or decision reads it.
+    An XX coefficient of exactly 1.0 (coupling, or coupling*shift) is
+    dropped at build time: 1.0*x = x in IEEE arithmetic, so every float64
+    amplitude is unchanged bit for bit, zero signs included. A complex128
+    product with (1 + 0j) can flip the sign of a zero real or imaginary
+    part, so there only that sign may differ, and no weight or decision
+    reads it.
     """
     if term.site >= n_qubits:
         raise ValueError(f"term on site {term.site} does not fit {n_qubits} qubits")
@@ -153,12 +153,12 @@ def bond_kernel(term: BondTerm, n_qubits: int) -> Callable[[np.ndarray], np.ndar
     idx = np.arange(2 ** n_qubits)
     if term.flavor is PauliFlavor.ZZ:
         phases = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
-        diagonal = term.coupling * (term.shift + term.sign * phases)
+        diagonal = term.coupling * (term.shift - phases)
         return lambda amps: amps * diagonal
     partner = idx ^ ((1 << i) | (1 << j))
-    identity, flip = term.coupling * term.shift, term.coupling * term.sign
-    if flip == -1.0 and identity == 1.0:
+    coupling, identity = term.coupling, term.coupling * term.shift
+    if coupling == 1.0 and identity == 1.0:
         return lambda amps: amps - amps[partner]
-    if flip == -1.0:
+    if coupling == 1.0:
         return lambda amps: identity * amps - amps[partner]
-    return lambda amps: identity * amps + flip * amps[partner]
+    return lambda amps: identity * amps - coupling * amps[partner]

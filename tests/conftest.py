@@ -33,7 +33,7 @@ def dense_bond_op(site, flavor, n_sites):
 def dense_term(term: BondTerm, n_sites: int) -> np.ndarray:
     dim = 2 ** n_sites
     return term.coupling * (
-        term.shift * np.eye(dim) + term.sign * dense_bond_op(term.site, term.flavor, n_sites)
+        term.shift * np.eye(dim) - dense_bond_op(term.site, term.flavor, n_sites)
     )
 
 
@@ -86,9 +86,8 @@ def tilted_basis(n_sites, sites=(0,)):
 def random_term(rng, n_sites):
     flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
     shift = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 2.5))
-    sign = -1 if rng.random() < 0.5 else 1
     return BondTerm(int(rng.integers(n_sites)), flavor,
-                    float(rng.uniform(0.25, 1.5)), shift, sign)
+                    float(rng.uniform(0.25, 1.5)), shift)
 
 
 @pytest.fixture

@@ -69,14 +69,14 @@ def test_02_contraction_exactness():
 
     # pinned rule values: general merge and both sandwich orientations
     factor, merged = merge_same_bond(
-        BondTerm(0, PauliFlavor.ZZ, 1.0, 1.0, -1),
-        BondTerm(0, PauliFlavor.ZZ, 1.0, 3.0, -1),
+        BondTerm(0, PauliFlavor.ZZ, 1.0, 1.0),
+        BondTerm(0, PauliFlavor.ZZ, 1.0, 3.0),
         5,
     )
     assert factor == pytest.approx(4.0) and merged.shift == pytest.approx(1.0)
-    bread = BondTerm(2, PauliFlavor.ZZ, 1.0, 1.0, -1)
+    bread = BondTerm(2, PauliFlavor.ZZ, 1.0, 1.0)
     for mid_site in (1, 3):
-        mid = BondTerm(mid_site, PauliFlavor.XX, 1.0, 1.0, -1)
+        mid = BondTerm(mid_site, PauliFlavor.XX, 1.0, 1.0)
         factor, survivor = sandwich_eliminate(bread, mid, bread, 5)
         assert factor == pytest.approx(2.0) and survivor == bread
     assert sandwich_eliminate(

@@ -16,12 +16,12 @@ from shiftsse.statevec import BasisChoice
 from conftest import dense_string_product, dense_term, random_term
 
 
-def zz(site=0, shift=1.0, sign=-1, coupling=1.0):
-    return BondTerm(site, PauliFlavor.ZZ, coupling, shift, sign)
+def zz(site=0, shift=1.0, coupling=1.0):
+    return BondTerm(site, PauliFlavor.ZZ, coupling, shift)
 
 
-def xx(site=0, shift=1.0, sign=-1, coupling=1.0):
-    return BondTerm(site, PauliFlavor.XX, coupling, shift, sign)
+def xx(site=0, shift=1.0, coupling=1.0):
+    return BondTerm(site, PauliFlavor.XX, coupling, shift)
 
 
 class TestCommute:
@@ -70,11 +70,10 @@ class TestMerge:
             n = int(rng.integers(2, 4))
             site = int(rng.integers(n))
             flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
-            sign = -1 if rng.random() < 0.5 else 1
             a = BondTerm(site, flavor, float(rng.uniform(0.3, 1.5)),
-                         float(rng.uniform(0.2, 2.5)), sign)
+                         float(rng.uniform(0.2, 2.5)))
             b = BondTerm(site, flavor, float(rng.uniform(0.3, 1.5)),
-                         float(rng.uniform(0.2, 2.5)), sign)
+                         float(rng.uniform(0.2, 2.5)))
             factor, merged = merge_same_bond(a, b, n)
             lhs = dense_term(b, n) @ dense_term(a, n)
             rhs = factor * dense_term(merged, n)
@@ -83,8 +82,6 @@ class TestMerge:
     def test_rejects_mixed_flavor_or_sign(self):
         with pytest.raises(ValueError):
             merge_same_bond(zz(0), xx(0), 4)
-        with pytest.raises(ValueError):
-            merge_same_bond(zz(0, sign=-1), zz(0, sign=+1), 4)
         # bonds (0,1) and (2,3): the merged factor was off by 4.0 (max abs)
         with pytest.raises(ValueError):
             merge_same_bond(zz(0), zz(2), 4)

@@ -111,6 +111,15 @@ class TestAccumulatorValidation:
         with pytest.raises(ValueError):
             acc.add(0, 3)
 
+    def test_rejects_samples_past_expected(self):
+        # the 30 extra samples used to pile silently into the last bin
+        acc = RunAccumulators(expected_samples=10)
+        for _ in range(10):
+            acc.add(1, 3)
+        with pytest.raises(ValueError, match="all 10 expected samples"):
+            acc.add(1, 3)
+        assert acc.count == acc.bin_count.sum() == 10
+
     def test_bins_partition_in_order(self):
         acc = RunAccumulators(expected_samples=40)
         for i in range(40):

@@ -30,8 +30,8 @@ class TestBuildTerms:
         zz = [t for t in terms if t.flavor is PauliFlavor.ZZ]
         xx = [t for t in terms if t.flavor is PauliFlavor.XX]
         assert len(zz) == len(xx) == 3
-        assert all(t.coupling == 1.0 and t.shift == 1.0 and t.sign == -1 for t in zz)
-        assert all(t.coupling == 1.0 and t.shift == 1.0 and t.sign == -1 for t in xx)
+        assert all(t.coupling == 1.0 and t.shift == 1.0 for t in zz)
+        assert all(t.coupling == 1.0 and t.shift == 1.0 for t in xx)
         assert spec(n=3, delta=1.0).energy_offset == pytest.approx(6.0)
 
     def test_delta_zero_deactivates_xx(self):
@@ -70,23 +70,21 @@ class TestBuildTerms:
 
     def test_bond_term_validation(self):
         with pytest.raises(ValueError):
-            BondTerm(0, PauliFlavor.ZZ, 1.0, 0.0, -1)
+            BondTerm(0, PauliFlavor.ZZ, 1.0, 0.0)
         with pytest.raises(ValueError):
-            BondTerm(0, PauliFlavor.ZZ, -0.5, 1.0, -1)
+            BondTerm(0, PauliFlavor.ZZ, -0.5, 1.0)
         with pytest.raises(ValueError):
-            BondTerm(0, PauliFlavor.ZZ, 1.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            BondTerm(-1, PauliFlavor.ZZ, 1.0, 1.0, -1)
+            BondTerm(-1, PauliFlavor.ZZ, 1.0, 1.0)
 
 
 class TestTermMatrix:
     def test_zz_term_hand_matrix(self):
-        term = BondTerm(0, PauliFlavor.ZZ, 1.0, 1.0, -1)
+        term = BondTerm(0, PauliFlavor.ZZ, 1.0, 1.0)
         expect = np.diag([0.0, 2.0, 2.0, 0.0])
         np.testing.assert_allclose(term_matrix(term, 2), expect, atol=1e-15)
 
     def test_xx_term_hand_matrix(self):
-        term = BondTerm(0, PauliFlavor.XX, 1.0, 1.0, -1)
+        term = BondTerm(0, PauliFlavor.XX, 1.0, 1.0)
         expect = np.array([
             [1, 0, 0, -1],
             [0, 1, -1, 0],
@@ -101,14 +99,13 @@ class TestTermMatrix:
             flavor = PauliFlavor.ZZ if rng.random() < 0.5 else PauliFlavor.XX
             term = BondTerm(int(rng.integers(n)), flavor,
                             float(rng.uniform(0.2, 2.0)),
-                            float(rng.uniform(0.2, 2.0)),
-                            -1 if rng.random() < 0.5 else 1)
+                            float(rng.uniform(0.2, 2.0)))
             np.testing.assert_allclose(term_matrix(term, n),
                                        dense_term(term, n).real, atol=1e-13)
 
     def test_site_out_of_range(self):
         # site 5 does not exist on a 3-site chain; the bond must not wrap onto site 0
-        term = BondTerm(5, PauliFlavor.ZZ, 1.0, 1.0, -1)
+        term = BondTerm(5, PauliFlavor.ZZ, 1.0, 1.0)
         with pytest.raises(ValueError, match="does not fit 3 qubits"):
             term_matrix(term, 3)
 
@@ -142,7 +139,7 @@ class TestDenseHamiltonian:
                 assert np.array_equal(dense_hamiltonian(spec(n=n, delta=delta)), oracle)
 
     def test_shifted_term_sum_identity(self):
-        # H + sum_b coupling*(shift*I + sign*O_b) == offset * I
+        # H + sum_b coupling*(shift*I - O_b) == offset * I
         for sp in (spec(n=2), spec(n=3, delta=0.4, m_x=1.3, m_z=0.7),
                    spec(n=4, delta=1.0, m_x=2.0, m_z=0.5)):
             dim = 2 ** sp.n_sites

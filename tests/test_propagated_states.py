@@ -193,7 +193,7 @@ def test_string_hands_out_a_copy(basis_name):
     config = Configuration((1, 0, 0), [zz0, zz0], model, basis)
     weight = config.weight_value
     if basis_name == "z":
-        assert weight == pytest.approx(2.0)
+        assert weight == 2.0
     for edit in (lambda s: s.append(xx0), list.clear, list.reverse,
                  lambda s: s.__setitem__(0, xx0)):
         edit(config.string)
@@ -208,6 +208,15 @@ def test_string_hands_out_a_copy(basis_name):
     assert_weight(config.relabel((0, 1, 0)), (0, 1, 0), [zz0] * 3, model, basis)
     config.accept()
     assert_coherent(config, model, basis)
+
+
+def test_second_order_weight_is_exact():
+    # (1 - ZZ_0)^2 = 4 on this label and beta^2/2! = 1/2; the factor through
+    # exp and lgamma made the weight 2.000000000000001
+    model = ModelSpec(n_sites=3, delta=1.0, m_x=1.0, m_z=1.0, beta=1.0)
+    zz0 = active_terms(model)[0]
+    config = Configuration((1, 0, 0), [zz0, zz0], model, BasisChoice.z_product())
+    assert config.weight_value == 2.0
 
 
 def test_accept_without_a_proposal_raises():

@@ -62,6 +62,11 @@ class TestWeight:
         with pytest.raises(ValueError, match="label must be 3 bits of 0 or 1"):
             config.relabel(bits)
 
+    def test_rejects_label_that_is_not_a_tuple(self):
+        # a list label used to raise TypeError from the label memo
+        with pytest.raises(ValueError, match="label must be 3 bits of 0 or 1"):
+            Configuration([1, 0, 0], [], spec(n=3), BasisChoice.z_product())
+
     def test_single_bond_anti_aligned(self):
         model = spec(beta=1.0)
         basis = BasisChoice.z_product()
@@ -316,6 +321,13 @@ class TestSweepProtocol:
         with pytest.raises(ValueError):
             run_chain(model, basis, SweepPlan.default(2), rng_stream(15),
                       sweeps=100, warmup_sweeps=100)
+
+    def test_run_chain_rejects_negative_warmup(self):
+        # a negative warmup used to size the bins for 35 samples and leave
+        # the last three empty after 30
+        with pytest.raises(ValueError, match="non-negative"):
+            run_chain(spec(), BasisChoice.z_product(), SweepPlan.default(2),
+                      rng_stream(15), sweeps=30, warmup_sweeps=-5)
 
 
 class TestChainWeightAtSamplerSizes:

@@ -68,6 +68,20 @@ HALF_SHIFT_PINS = {
 }
 
 
+# At delta = 0.6 no XX coupling is 1.0, so this rotated point runs the
+# general XX kernel with both coefficients scaled.
+GENERAL_XX_CONFIG = RunConfig(n_sites=4, delta=0.6, m_x=0.7, m_z=0.9, sweeps=1000,
+                              chains=2, seed=7, basis="rotated")
+GENERAL_XX_PINS = {
+    "avg_sign": 0.8844444444444445,
+    "avg_sign_err": 0.015787816243935385,
+    "energy": -1.3858291457286427,
+    "energy_err": 0.3779142972365822,
+    "avg_order": 3.3329145728643215,
+    "avg_order_err": 0.1889571486182911,
+}
+
+
 def assert_pinned(config, pins):
     record = run(config).as_dict()
     assert record["avg_sign"] == pins["avg_sign"]
@@ -87,6 +101,10 @@ def test_non_dyadic_z_run_is_pinned():
 
 def test_half_shift_rotated_run_is_pinned():
     assert_pinned(HALF_SHIFT_CONFIG, HALF_SHIFT_PINS)
+
+
+def test_general_xx_rotated_run_is_pinned():
+    assert_pinned(GENERAL_XX_CONFIG, GENERAL_XX_PINS)
 
 
 def test_long_chain_is_pinned():

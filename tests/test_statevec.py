@@ -15,12 +15,12 @@ from shiftsse.statevec import (
 from conftest import dense_matrix_element, dense_prepare, dense_term, random_term
 
 
-def zz(site=0, shift=1.0, sign=-1, coupling=1.0):
-    return BondTerm(site, PauliFlavor.ZZ, coupling, shift, sign)
+def zz(site=0, shift=1.0, coupling=1.0):
+    return BondTerm(site, PauliFlavor.ZZ, coupling, shift)
 
 
-def xx(site=0, shift=1.0, sign=-1, coupling=1.0):
-    return BondTerm(site, PauliFlavor.XX, coupling, shift, sign)
+def xx(site=0, shift=1.0, coupling=1.0):
+    return BondTerm(site, PauliFlavor.XX, coupling, shift)
 
 
 def weight(bits, basis, string, beta=1.0):
@@ -87,16 +87,13 @@ class TestApplyTerm:
 
     def test_zz_signs_on_aligned_pair(self):
         amps = prepare((0, 0), BasisChoice.z_product()).amps
-        # ferromagnetic-sign convention doubles an aligned pair
-        out = bond_kernel(zz(sign=+1), 2)(amps)
-        np.testing.assert_allclose(out, 2.0 * amps, atol=0)
-        # the antiferromagnetic term annihilates it
-        out = bond_kernel(zz(sign=-1), 2)(amps)
+        # the antiferromagnetic term annihilates an aligned pair
+        out = bond_kernel(zz(), 2)(amps)
         np.testing.assert_allclose(out, np.zeros(4), atol=0)
 
     def test_xx_branches(self):
         amps = prepare((0, 0), BasisChoice.z_product()).amps
-        out = bond_kernel(xx(sign=-1), 2)(amps)
+        out = bond_kernel(xx(), 2)(amps)
         np.testing.assert_allclose(out, [1, 0, 0, -1], atol=0)
 
     def test_matches_dense_oracle_on_random_states(self, rng):
@@ -134,9 +131,9 @@ class TestApplyTerm:
 
     @pytest.mark.parametrize("basis_name", ["z", "rotated"])
     def test_folded_xx_kernels_equal_the_general_expression(self, rng, basis_name):
-        # At delta = 1 every XX flip coefficient is exactly -1.0, and at
-        # M = 1 every identity coefficient is 1.0; the kernel folds them
-        # into a subtraction. delta = 0.3 is the unfolded control. States
+        # At delta = 1 every XX coupling is exactly 1.0, and at M = 1
+        # every identity coefficient is 1.0 too; the kernel drops those
+        # multiplications. delta = 0.3 is the unfolded control. States
         # are the ones a chain builds: a prepared label pushed through
         # random active terms, so the z basis holds zeros of either sign.
         basis = BasisChoice.z_product() if basis_name == "z" else BasisChoice.rotated()
@@ -146,19 +143,19 @@ class TestApplyTerm:
                 model = ModelSpec(n_sites=n, delta=delta, m_x=shift, m_z=shift, beta=1.0)
                 terms = active_terms(model)
                 xx_terms = [t for t in terms if t.flavor is PauliFlavor.XX]
-                assert all((t.coupling * t.sign == -1.0) == (delta == 1.0) for t in xx_terms)
+                assert all((t.coupling == 1.0) == (delta == 1.0) for t in xx_terms)
                 amps = prepare(tuple(int(b) for b in rng.integers(0, 2, size=n)), basis).amps
                 for _ in range(12):
                     for term in xx_terms:
                         mask = (1 << term.site) | (1 << (term.site + 1) % n)
                         general = (term.coupling * term.shift * amps
-                                   + term.coupling * term.sign * amps[idx ^ mask])
+                                   - term.coupling * amps[idx ^ mask])
                         out = bond_kernel(term, n)(amps)
                         if basis_name == "z":
                             assert np.array_equal(out, general)
                             assert np.array_equal(np.signbit(out), np.signbit(general))
                         else:
-                            # a complex product with (+-1 + 0j) can flip the
+                            # a complex product with (1 + 0j) can flip the
                             # sign of a zero real or imaginary part, which
                             # no weight reads; every value is equal
                             assert (out == general).all()
