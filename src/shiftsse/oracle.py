@@ -45,9 +45,12 @@ BATCH_LIMIT = 4096
 
 
 def _poisson_factor(beta: float, n: int) -> float:
-    if n == 0:
-        return 1.0
-    return math.exp(n * math.log(beta) - math.lgamma(n + 1))
+    """beta^n/n!, each factor beta/k times the one before: no power or
+    factorial is formed, so no order overflows."""
+    f = 1.0
+    for k in range(1, n + 1):
+        f = f * beta / k
+    return f
 
 
 def _product_state(vectors: list[np.ndarray]) -> np.ndarray:

@@ -8,6 +8,7 @@ from shiftsse.model import ModelSpec, PauliFlavor, active_terms
 from shiftsse.oracle import ANCILLA_QUBIT_LIMIT, ancilla_weight
 from shiftsse.sampler import (
     Configuration,
+    _Draws,
     SweepPlan,
     rng_stream,
     run_chain,
@@ -328,6 +329,56 @@ class TestSweepProtocol:
         with pytest.raises(ValueError, match="non-negative"):
             run_chain(spec(), BasisChoice.z_product(), SweepPlan.default(2),
                       rng_stream(15), sweeps=30, warmup_sweeps=-5)
+
+
+class TestDraws:
+    """`_Draws` against numpy's `Generator` as the reference: the same
+    numbers, and the generator left in the same state."""
+
+    SIZES = (1, 2, 3, 6, 7, 14, 21, 2**31 + 5, 2**32)
+
+    @pytest.mark.parametrize("start", ["fresh", "label", "odd-32-bit"])
+    def test_matches_twin_generator(self, start):
+        rng, twin = rng_stream(21), rng_stream(21)
+        for g in (rng, twin):
+            if start == "label":
+                g.integers(0, 2, size=7)
+            elif start == "odd-32-bit":
+                g.integers(0, 2**32, size=3, dtype=np.uint32)
+        if start != "fresh":
+            # seven or three 32-bit draws leave half of a 64-bit draw buffered
+            assert twin.bit_generator.state["has_uint32"] == 1
+        draws = _Draws(rng)
+        script = np.random.default_rng(5)
+        for _ in range(20000):
+            if script.random() < 0.4:
+                assert draws.random() == twin.random()
+            else:
+                n = self.SIZES[int(script.integers(len(self.SIZES)))]
+                assert draws.integers(n) == int(twin.integers(n))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
+        assert rng.integers(10**9) == twin.integers(10**9)
+
+    @pytest.mark.parametrize("n_sites, delta, m_x, basis", [
+        (3, 1.0, 1.0, BasisChoice.rotated()),
+        (4, 0.6, 0.7, BasisChoice.z_product()),
+    ], ids=["n3-rotated", "n4-z-delta0.6"])
+    def test_same_chain_as_generator(self, n_sites, delta, m_x, basis):
+        model = spec(n=n_sites, delta=delta, m_x=m_x, beta=0.8)
+        plan = SweepPlan.default(n_sites)
+        rng, twin = rng_stream(22), rng_stream(22)
+        cfg = Configuration.initial(model, basis, rng)
+        twin_cfg = Configuration.initial(model, basis, twin)
+        draws = _Draws(twin)
+        for _ in range(300):
+            cfg, sample = sweep(cfg, plan, rng)
+            twin_cfg, twin_sample = sweep(twin_cfg, plan, draws)
+            assert twin_cfg.alpha == cfg.alpha
+            assert twin_cfg.string == cfg.string
+            assert twin_cfg.weight_value == cfg.weight_value
+            assert twin_sample == sample
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestChainWeightAtSamplerSizes:
